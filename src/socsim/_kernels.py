@@ -1,49 +1,24 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels (numpy).
 
-Setting the environment variable ``SOCSIM_NO_NUMBA=1`` forces the pure
-numpy implementations; otherwise numba is used if importable. Both
-backends are always exposed (``*_numpy`` / ``*_numba``) so tests and the
-benchmark can compare them directly.
+``HAVE_NUMBA`` is always false: the kernels are plain numpy.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_ENV_DISABLED = os.environ.get("SOCSIM_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    if _ENV_DISABLED:
-        raise ImportError("numba disabled via SOCSIM_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return decorator
+HAVE_NUMBA = False
 
 
-def pairwise_features_numpy(pos, ang):
-    """Pair geometry for agents with positions ``pos`` (m, 2) and shoulder
-    normals ``ang`` (m,) radians.
+def pair_geometry(pos, ang, i_idx, j_idx):
+    """Pair geometry of the index pairs (``i_idx[k]``, ``j_idx[k]``) of
+    agents with positions ``pos`` (m, 2) and shoulder normals ``ang`` (m,)
+    radians.
 
-    Returns flat arrays (i_idx, j_idx, dist, phi) over unordered index
-    pairs i < j. ``phi`` is the mutual-facing feature in [0, 1]:
+    Returns (dist, phi). ``phi`` is the mutual-facing feature in [0, 1]:
     (cos a_ij + cos a_ji + 2) / 4 with a_xy the angle between x's shoulder
-    normal and the direction from x to y.
+    normal and the direction from x to y; coincident points score 1.
     """
-    m = pos.shape[0]
-    i_idx, j_idx = np.triu_indices(m, k=1)
     dx = pos[j_idx, 0] - pos[i_idx, 0]
     dy = pos[j_idx, 1] - pos[i_idx, 1]
     dist = np.hypot(dx, dy)
@@ -53,41 +28,20 @@ def pairwise_features_numpy(pos, ang):
     cos_ji = -(np.cos(ang[j_idx]) * ux + np.sin(ang[j_idx]) * uy)
     phi = (cos_ij + cos_ji + 2.0) / 4.0
     phi = np.where(dist > 0.0, phi, 1.0)
+    return dist, phi
+
+
+def pairwise_features(pos, ang):
+    """``pair_geometry`` over every unordered index pair i < j.
+
+    Returns flat arrays (i_idx, j_idx, dist, phi).
+    """
+    i_idx, j_idx = np.triu_indices(pos.shape[0], k=1)
+    dist, phi = pair_geometry(pos, ang, i_idx, j_idx)
     return i_idx.astype(np.int64), j_idx.astype(np.int64), dist, phi
 
 
-@njit(cache=True)
-def pairwise_features_numba(pos, ang):  # pragma: no cover - numba path
-    m = pos.shape[0]
-    npairs = m * (m - 1) // 2
-    i_idx = np.empty(npairs, dtype=np.int64)
-    j_idx = np.empty(npairs, dtype=np.int64)
-    dist = np.empty(npairs, dtype=np.float64)
-    phi = np.empty(npairs, dtype=np.float64)
-    k = 0
-    for i in range(m):
-        ci = math.cos(ang[i])
-        si = math.sin(ang[i])
-        for j in range(i + 1, m):
-            dx = pos[j, 0] - pos[i, 0]
-            dy = pos[j, 1] - pos[i, 1]
-            d = math.sqrt(dx * dx + dy * dy)
-            dist[k] = d
-            if d > 0.0:
-                ux = dx / d
-                uy = dy / d
-                cos_ij = ci * ux + si * uy
-                cos_ji = -(math.cos(ang[j]) * ux + math.sin(ang[j]) * uy)
-                phi[k] = (cos_ij + cos_ji + 2.0) / 4.0
-            else:
-                phi[k] = 1.0
-            i_idx[k] = i
-            j_idx[k] = j
-            k += 1
-    return i_idx, j_idx, dist, phi
-
-
-def force_step_numpy(pos, center, k_center, k_repel, eps, max_disp, dt):
+def force_step(pos, center, k_center, k_repel, eps, max_disp, dt):
     """One explicit-Euler step of the group arrangement force model.
 
     Each agent is attracted to ``center`` and repelled by its two nearest
@@ -110,57 +64,3 @@ def force_step_numpy(pos, center, k_center, k_repel, eps, max_disp, dt):
     norm = np.hypot(disp[:, 0], disp[:, 1])
     scale = np.where(norm > max_disp, max_disp / np.where(norm > 0, norm, 1.0), 1.0)
     return pos + disp * scale[:, None]
-
-
-@njit(cache=True)
-def force_step_numba(pos, center, k_center, k_repel, eps, max_disp, dt):  # pragma: no cover
-    m = pos.shape[0]
-    out = np.empty_like(pos)
-    for i in range(m):
-        fx = k_center * (center[0] - pos[i, 0])
-        fy = k_center * (center[1] - pos[i, 1])
-        d1 = np.inf
-        d2 = np.inf
-        n1 = -1
-        n2 = -1
-        for j in range(m):
-            if j == i:
-                continue
-            dx = pos[i, 0] - pos[j, 0]
-            dy = pos[i, 1] - pos[j, 1]
-            dd = dx * dx + dy * dy
-            if dd < d1:
-                d2 = d1
-                n2 = n1
-                d1 = dd
-                n1 = j
-            elif dd < d2:
-                d2 = dd
-                n2 = j
-        for nb in (n1, n2):
-            if nb < 0:
-                continue
-            dx = pos[i, 0] - pos[nb, 0]
-            dy = pos[i, 1] - pos[nb, 1]
-            d = math.sqrt(dx * dx + dy * dy)
-            if d < eps:
-                d = eps
-            fx += k_repel * dx / (d * d)
-            fy += k_repel * dy / (d * d)
-        mx = fx * dt
-        my = fy * dt
-        norm = math.sqrt(mx * mx + my * my)
-        if norm > max_disp and norm > 0.0:
-            mx *= max_disp / norm
-            my *= max_disp / norm
-        out[i, 0] = pos[i, 0] + mx
-        out[i, 1] = pos[i, 1] + my
-    return out
-
-
-if HAVE_NUMBA:
-    pairwise_features = pairwise_features_numba
-    force_step = force_step_numba
-else:
-    pairwise_features = pairwise_features_numpy
-    force_step = force_step_numpy

@@ -400,15 +400,12 @@ def run(scenario: Scenario, out_dir: Optional[Path] = None) -> RunResult:
             if aid in agents
         }
 
-        for aid in sorted(agents):
-            if aid not in positions:
-                continue
-            opinions = percept.observe(frame, aid, scenario.percept, percept_rng)
+        observers = [aid for aid in sorted(agents) if aid in positions]
+        observed = percept.observe_period(frame, observers, scenario.percept, percept_rng)
+        for aid, (opinions, neighbours) in observed.items():
             neighbor_list = tuple(
                 (nid, kind_map.get(nid, AgentKind.HUMAN_LINKED), dist)
-                for nid, dist in percept.neighbors_within(
-                    frame, aid, scenario.percept.observation_radius
-                )
+                for nid, dist in neighbours
             )
             agents[aid].apply_percept(tuple(opinions), neighbor_list, now)
 

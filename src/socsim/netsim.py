@@ -121,7 +121,9 @@ class Network:
         self._queue: dict[int, list[QueuedDelivery]] = {}
         self._seq = 0
         self._step_no = -1
-        self._positions: dict[int, tuple[float, float]] = {}
+        # sender -> ascending ids of the other agents within comm range,
+        # from the positions of the latest step
+        self._receivers: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------------
 
@@ -133,7 +135,7 @@ class Network:
     ) -> None:
         """Run one protocol period at simulation time ``now``."""
         self._step_no += 1
-        self._positions = positions
+        self._receivers = self._range_table(positions)
         self._record_neighbor_counts(agents)
         order = sorted(agents)
         self._drain(now, agents)
@@ -158,32 +160,33 @@ class Network:
 
     def inject(self, now: float, sender: int, emissions) -> None:
         """Schedule externally produced emissions (e.g. a departure
-        handover) for delivery in the upcoming step."""
+        handover) for delivery in the upcoming step. Range is that of the
+        latest step's positions."""
         self._emit(now, sender, emissions, deliver_step=self._step_no + 1)
-
-    def drain_ready(self, now: float, agents: dict[int, Agent]) -> None:
-        self._drain(now, agents)
 
     # ------------------------------------------------------------------
 
-    def _record_neighbor_counts(self, agents: dict[int, Agent]) -> None:
-        ids = sorted(set(agents) & set(self._positions))
-        counts: dict[int, int] = {aid: 0 for aid in ids}
-        if len(ids) > 1:
-            pos = np.array([self._positions[a] for a in ids])
-            diff = pos[:, None, :] - pos[None, :, :]
-            dist = np.hypot(diff[..., 0], diff[..., 1])
-            within = (dist <= self.config.comm_range).sum(axis=1) - 1
-            counts = {aid: int(within[k]) for k, aid in enumerate(ids)}
-        self.log.neighbor_counts[self._step_no] = counts
+    def _range_table(self, positions: dict[int, tuple[float, float]]) -> dict[int, list[int]]:
+        """For every position, the ascending ids of the others within
+        comm range: dx * dx + dy * dy <= comm_range ** 2."""
+        ids = sorted(positions)
+        if not ids:
+            return {}
+        pos = np.array([positions[a] for a in ids], dtype=float)
+        dx = pos[:, 0][:, None] - pos[:, 0][None, :]
+        dy = pos[:, 1][:, None] - pos[:, 1][None, :]
+        within = dx * dx + dy * dy <= self.config.comm_range**2
+        np.fill_diagonal(within, False)
+        receivers = np.asarray(ids)[np.nonzero(within)[1]].tolist()
+        ends = np.cumsum(within.sum(axis=1)).tolist()
+        return {aid: receivers[start:end] for aid, start, end in zip(ids, [0] + ends, ends)}
 
-    def _in_range(self, a: int, b: int) -> bool:
-        pa = self._positions.get(a)
-        pb = self._positions.get(b)
-        if pa is None or pb is None:
-            return False
-        dx, dy = pa[0] - pb[0], pa[1] - pb[1]
-        return dx * dx + dy * dy <= self.config.comm_range**2
+    def _record_neighbor_counts(self, agents: dict[int, Agent]) -> None:
+        self.log.neighbor_counts[self._step_no] = {
+            aid: sum(1 for other in self._receivers[aid] if other in agents)
+            for aid in sorted(agents)
+            if aid in self._receivers
+        }
 
     def _emit(self, now: float, sender: int, emissions, deliver_step: Optional[int] = None) -> None:
         cfg = self.config
@@ -191,24 +194,26 @@ class Network:
         for message, target in emissions:
             if isinstance(message, HeadMsg) and message.head == sender:
                 self.latest_head_msgs[sender] = (base_step, message)
-            delivered: list[int] = []
-            if target is None:
-                receivers = [a for a in sorted(self._positions) if a != sender]
+            in_range = self._receivers.get(sender)
+            if in_range is None:
+                receivers = []
+            elif target is None:
+                receivers = in_range
             else:
-                receivers = [target]
-            for receiver in receivers:
-                if not self._in_range(sender, receiver):
-                    continue
-                if cfg.loss_probability > 0.0 and self._rng.random() < cfg.loss_probability:
-                    continue
-                self._seq += 1
-                entry = QueuedDelivery(
-                    base_step + cfg.latency, self._seq, receiver, message, sender
-                )
-                self._queue.setdefault(entry.deliver_step, []).append(entry)
-                delivered.append(receiver)
+                # a unicast to oneself covers zero distance
+                receivers = [target] if target == sender or target in in_range else []
+            if cfg.loss_probability > 0.0 and receivers:
+                # one uniform per receiver in range, in receiver order
+                kept = self._rng.random(len(receivers)) >= cfg.loss_probability
+                receivers = [r for r, keep in zip(receivers, kept.tolist()) if keep]
+            if receivers:
+                deliver_step = base_step + cfg.latency
+                queue = self._queue.setdefault(deliver_step, [])
+                for receiver in receivers:
+                    self._seq += 1
+                    queue.append(QueuedDelivery(deliver_step, self._seq, receiver, message, sender))
             self.log.entries.append(
-                LogEntry(base_step, now, message, sender, target, tuple(delivered))
+                LogEntry(base_step, now, message, sender, target, tuple(receivers))
             )
 
     def _drain(self, now: float, agents: dict[int, Agent]) -> None:

@@ -11,6 +11,7 @@ at several accuracy levels.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -96,61 +97,126 @@ class PerceptConfig:
             raise ValueError("gmm model selected but no fitted model supplied")
 
 
+def observe_period(
+    frame: TraceFrame,
+    observers: Sequence[int],
+    config: PerceptConfig,
+    rng: np.random.Generator,
+) -> dict[int, tuple[list[tuple[int, int, Opinion]], list[tuple[int, float]]]]:
+    """One period's percept for every observer in one vectorised pass.
+
+    Maps each observer to its opinions about every unordered pair with both
+    individuals within the observation radius, and its (id, true distance)
+    list of the other individuals within that radius. Each observer perturbs
+    the positions and shoulder angles it sees with the configured sensor
+    noise before the geometry features are computed, so the opinion about
+    (i, j) does not depend on pair ordering. The noise of all observers is
+    one draw, laid out per observer in ``observers`` order as its (m, 2)
+    position block followed by its m angles; observers seeing fewer than
+    two individuals draw nothing."""
+    obs_idx, dist, within = _visibility(frame, observers, config.observation_radius)
+    visible = within.sum(axis=1)
+    # rows of observers that see a pair; each visible (observer, individual)
+    # entry gets a slot in row-major order, the order of its noise draws
+    seen = within & (visible >= 2)[:, None]
+    rows, cols = np.nonzero(seen)
+    slot = np.full(within.shape, -1, dtype=np.intp)
+    slot[seen] = np.arange(len(rows))
+    pos = frame.pos[cols]
+    ang = frame.angle[cols]
+    sigma_pos, sigma_ang = config.noise_sigma_pos, config.noise_sigma_angle
+    if len(rows) and (sigma_pos > 0.0 or sigma_ang > 0.0):
+        per_row = np.where(visible >= 2, visible, 0)
+        first = (np.cumsum(per_row) - per_row)[rows]  # first slot of the row
+        rank = np.arange(len(rows)) - first
+        draws = 2 * (sigma_pos > 0.0) + (sigma_ang > 0.0)
+        noise = rng.standard_normal(len(rows) * draws)
+        start = draws * first
+        if sigma_pos > 0.0:
+            at = start + 2 * rank
+            pos = pos + sigma_pos * np.stack([noise[at], noise[at + 1]], axis=1)
+            start = start + 2 * per_row[rows]
+        if sigma_ang > 0.0:
+            ang = ang + sigma_ang * noise[start + rank]
+    i_all, j_all = _upper_pairs(len(frame.ids))
+    pair_rows, pair_cols = np.nonzero(seen[:, i_all] & seen[:, j_all])
+    i_frame, j_frame = i_all[pair_cols], j_all[pair_cols]
+    dist_ij, phi = _kernels.pair_geometry(
+        pos, ang, slot[pair_rows, i_frame], slot[pair_rows, j_frame]
+    )
+    likelihood = _likelihood(dist_ij, phi, config)
+    u0, base_rate = config.base_uncertainty, config.base_rate
+    ids = np.asarray(frame.ids)
+    a, b = ids[i_frame], ids[j_frame]
+    opinions = [
+        (lo, hi, Opinion(belief, disbelief, u0, base_rate))
+        for lo, hi, belief, disbelief in zip(
+            np.minimum(a, b).tolist(),
+            np.maximum(a, b).tolist(),
+            (likelihood * (1.0 - u0)).tolist(),
+            ((1.0 - likelihood) * (1.0 - u0)).tolist(),
+        )
+    ]
+    neighbours = _neighbour_lists(frame, obs_idx, dist, within)
+    ends = np.cumsum(np.bincount(pair_rows, minlength=len(obs_idx))).tolist()
+    return {
+        observer: (opinions[start:end], neighbours[r])
+        for r, (observer, start, end) in enumerate(zip(observers, [0] + ends, ends))
+    }
+
+
 def observe(
     frame: TraceFrame,
     observer: int,
     config: PerceptConfig,
     rng: np.random.Generator,
 ) -> list[tuple[int, int, Opinion]]:
-    """Opinions about every unordered pair with both individuals within
-    the observation radius of ``observer``. Positions and shoulder angles
-    are perturbed with the configured sensor noise before the geometry
-    features are computed, so the opinion about (i, j) does not depend on
-    pair ordering."""
-    oidx = frame.index_of(observer)
-    if oidx is None:
-        raise ValueError(f"observer {observer} not present in frame at t={frame.time}")
-    rel = frame.pos - frame.pos[oidx]
-    within = np.hypot(rel[:, 0], rel[:, 1]) <= config.observation_radius
-    sel = np.flatnonzero(within)
-    if len(sel) < 2:
-        return []
-    pos = frame.pos[sel]
-    ang = frame.angle[sel]
-    if config.noise_sigma_pos > 0.0:
-        pos = pos + rng.normal(0.0, config.noise_sigma_pos, size=pos.shape)
-    if config.noise_sigma_angle > 0.0:
-        ang = ang + rng.normal(0.0, config.noise_sigma_angle, size=ang.shape)
-    i_idx, j_idx, dist, phi = _kernels.pairwise_features(
-        np.ascontiguousarray(pos, dtype=float), np.ascontiguousarray(ang, dtype=float)
-    )
-    likelihood = _likelihood(dist, phi, config)
-    u0 = config.base_uncertainty
-    ids = [frame.ids[k] for k in sel]
-    out: list[tuple[int, int, Opinion]] = []
-    for k in range(len(i_idx)):
-        a, b = ids[i_idx[k]], ids[j_idx[k]]
-        if a > b:
-            a, b = b, a
-        lk = float(likelihood[k])
-        out.append(
-            (a, b, Opinion(lk * (1.0 - u0), (1.0 - lk) * (1.0 - u0), u0, config.base_rate))
-        )
-    return out
+    """Opinions of one observer; see ``observe_period``."""
+    return observe_period(frame, [observer], config, rng)[observer][0]
 
 
 def neighbors_within(frame: TraceFrame, observer: int, radius: float) -> list[tuple[int, float]]:
     """(id, true distance) for every other individual within ``radius``."""
-    oidx = frame.index_of(observer)
-    if oidx is None:
+    if frame.index_of(observer) is None:
         return []
-    rel = frame.pos - frame.pos[oidx]
-    dist = np.hypot(rel[:, 0], rel[:, 1])
-    return [
-        (frame.ids[k], float(dist[k]))
-        for k in np.flatnonzero(dist <= radius)
-        if frame.ids[k] != observer
-    ]
+    obs_idx, dist, within = _visibility(frame, [observer], radius)
+    return _neighbour_lists(frame, obs_idx, dist, within)[0]
+
+
+def _visibility(
+    frame: TraceFrame, observers: Sequence[int], radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame rows of the observers, their (observers, n) true distance rows
+    to every individual, and which of those lie within ``radius``."""
+    index = {aid: k for k, aid in enumerate(frame.ids)}
+    missing = [o for o in observers if o not in index]
+    if missing:
+        raise ValueError(f"observer {missing[0]} not present in frame at t={frame.time}")
+    obs_idx = np.array([index[o] for o in observers], dtype=np.intp)
+    dx = frame.pos[:, 0] - frame.pos[obs_idx, 0][:, None]
+    dy = frame.pos[:, 1] - frame.pos[obs_idx, 1][:, None]
+    dist = np.hypot(dx, dy)
+    return obs_idx, dist, dist <= radius
+
+
+def _neighbour_lists(
+    frame: TraceFrame, obs_idx: np.ndarray, dist: np.ndarray, within: np.ndarray
+) -> list[list[tuple[int, float]]]:
+    others = within.copy()
+    others[np.arange(len(obs_idx)), obs_idx] = False
+    rows, cols = np.nonzero(others)
+    pairs = list(zip(np.asarray(frame.ids)[cols].tolist(), dist[rows, cols].tolist()))
+    ends = np.cumsum(others.sum(axis=1)).tolist()
+    return [pairs[start:end] for start, end in zip([0] + ends, ends)]
+
+
+@functools.lru_cache(maxsize=32)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays of the unordered pairs i < j of ``n`` items."""
+    i_idx, j_idx = np.triu_indices(n, k=1)
+    i_idx.flags.writeable = False
+    j_idx.flags.writeable = False
+    return i_idx, j_idx
 
 
 def _likelihood(dist: np.ndarray, phi: np.ndarray, config: PerceptConfig) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Backend equivalence for the JIT kernels and the env-flag fallback."""
+"""The numpy kernels against scalar reference loops, and a numba-free run."""
 
-import os
+import math
 import subprocess
 import sys
 
@@ -16,12 +16,57 @@ def random_geometry(rng, m):
     return pos, ang
 
 
+def pairwise_features_loop(pos, ang):
+    """Scalar reference for ``_kernels.pairwise_features``."""
+    i_idx, j_idx, dist, phi = [], [], [], []
+    m = pos.shape[0]
+    for i in range(m):
+        for j in range(i + 1, m):
+            dx = pos[j, 0] - pos[i, 0]
+            dy = pos[j, 1] - pos[i, 1]
+            d = math.sqrt(dx * dx + dy * dy)
+            if d > 0.0:
+                ux, uy = dx / d, dy / d
+                cos_ij = math.cos(ang[i]) * ux + math.sin(ang[i]) * uy
+                cos_ji = -(math.cos(ang[j]) * ux + math.sin(ang[j]) * uy)
+                phi.append((cos_ij + cos_ji + 2.0) / 4.0)
+            else:
+                phi.append(1.0)
+            i_idx.append(i)
+            j_idx.append(j)
+            dist.append(d)
+    return np.array(i_idx), np.array(j_idx), np.array(dist), np.array(phi)
+
+
+def force_step_loop(pos, center, k_center, k_repel, eps, max_disp, dt):
+    """Scalar reference for ``_kernels.force_step``."""
+    m = pos.shape[0]
+    out = np.empty_like(pos)
+    for i in range(m):
+        fx = k_center * (center[0] - pos[i, 0])
+        fy = k_center * (center[1] - pos[i, 1])
+        nearest = sorted(
+            (float(np.sum((pos[i] - pos[j]) ** 2)), j) for j in range(m) if j != i
+        )[:2]
+        for _, nb in nearest:
+            dx, dy = pos[i, 0] - pos[nb, 0], pos[i, 1] - pos[nb, 1]
+            d = max(math.sqrt(dx * dx + dy * dy), eps)
+            fx += k_repel * dx / (d * d)
+            fy += k_repel * dy / (d * d)
+        mx, my = fx * dt, fy * dt
+        norm = math.sqrt(mx * mx + my * my)
+        if norm > max_disp:
+            mx, my = mx * max_disp / norm, my * max_disp / norm
+        out[i] = pos[i, 0] + mx, pos[i, 1] + my
+    return out
+
+
 @pytest.mark.parametrize("m", [2, 3, 7, 25])
 def test_pairwise_features_backends_agree(m):
     rng = np.random.default_rng(m)
     pos, ang = random_geometry(rng, m)
-    i1, j1, d1, p1 = _kernels.pairwise_features_numpy(pos, ang)
-    i2, j2, d2, p2 = _kernels.pairwise_features_numba(pos, ang)
+    i1, j1, d1, p1 = _kernels.pairwise_features(pos, ang)
+    i2, j2, d2, p2 = pairwise_features_loop(pos, ang)
     assert np.array_equal(i1, i2)
     assert np.array_equal(j1, j2)
     assert np.allclose(d1, d2, atol=1e-12)
@@ -32,7 +77,7 @@ def test_pairwise_features_backends_agree(m):
 def test_pairwise_features_coincident_points():
     pos = np.zeros((2, 2))
     ang = np.array([0.0, 1.0])
-    for impl in (_kernels.pairwise_features_numpy, _kernels.pairwise_features_numba):
+    for impl in (_kernels.pairwise_features, pairwise_features_loop):
         _, _, d, phi = impl(pos, ang)
         assert d[0] == 0.0
         assert phi[0] == 1.0
@@ -43,39 +88,29 @@ def test_force_step_backends_agree(m):
     rng = np.random.default_rng(100 + m)
     pos = rng.uniform(0.0, 5.0, size=(m, 2))
     center = np.array([2.5, 2.5])
-    a = _kernels.force_step_numpy(pos, center, 1.0, 0.5, 0.01, 0.7, 0.05)
-    b = _kernels.force_step_numba(pos, center, 1.0, 0.5, 0.01, 0.7, 0.05)
+    a = _kernels.force_step(pos, center, 1.0, 0.5, 0.01, 0.7, 0.05)
+    b = force_step_loop(pos, center, 1.0, 0.5, 0.01, 0.7, 0.05)
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_force_step_displacement_cap():
     pos = np.array([[0.0, 0.0], [100.0, 100.0]])
     center = np.array([50.0, 50.0])
-    stepped = _kernels.force_step_numpy(pos, center, 1.0, 0.5, 0.01, 0.7, 1.0)
+    stepped = _kernels.force_step(pos, center, 1.0, 0.5, 0.01, 0.7, 1.0)
     disp = np.hypot(*(stepped - pos).T)
     assert (disp <= 0.7 + 1e-12).all()
 
 
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "from socsim import _kernels; "
-        "assert not _kernels.HAVE_NUMBA; "
-        "assert _kernels.pairwise_features is _kernels.pairwise_features_numpy"
-    )
-    env = dict(os.environ, SOCSIM_NO_NUMBA="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
 def test_pipeline_runs_without_numba(tmp_path):
     code = (
+        "import sys; sys.modules['numba'] = None; "
         "from socsim.harness import Scenario, SyntheticSource, run; "
         "from socsim.mobility import MobilityConfig; "
         "sc = Scenario(source=SyntheticSource(MobilityConfig(n_agents=4, seed=1)), "
         "duration=10.0, dt=0.5, seed=2); "
         "res = run(sc); print(len(res.metrics_rows))"
     )
-    env = dict(os.environ, SOCSIM_NO_NUMBA="1")
     out = subprocess.run(
-        [sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True
     )
     assert out.stdout.strip() == "11"

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from socsim import _kernels
 from socsim.mobility import TraceFrame
-from socsim.opinions import expectation
+from socsim.opinions import Opinion, expectation
 from socsim.percept import (
     GmmModel,
     PerceptConfig,
+    _likelihood,
     fit_gmm,
     neighbors_within,
     observe,
+    observe_period,
 )
 
 
@@ -104,6 +107,110 @@ class TestNeighbors:
 
     def test_absent_observer_empty(self):
         assert neighbors_within(facing_pair(1.0), 99, 10.0) == []
+
+
+def reference_observe(frame, observer, config, rng):
+    """One observer at a time, with its own noise draws: the loop that
+    ``observe_period`` batches, kept as the reference."""
+    oidx = frame.ids.index(observer)
+    rel = frame.pos - frame.pos[oidx]
+    sel = np.flatnonzero(np.hypot(rel[:, 0], rel[:, 1]) <= config.observation_radius)
+    if len(sel) < 2:
+        return []
+    pos, ang = frame.pos[sel], frame.angle[sel]
+    if config.noise_sigma_pos > 0.0:
+        pos = pos + rng.normal(0.0, config.noise_sigma_pos, size=pos.shape)
+    if config.noise_sigma_angle > 0.0:
+        ang = ang + rng.normal(0.0, config.noise_sigma_angle, size=ang.shape)
+    i_idx, j_idx, dist, phi = _kernels.pairwise_features(pos, ang)
+    likelihood = _likelihood(dist, phi, config)
+    u0 = config.base_uncertainty
+    out = []
+    for k in range(len(i_idx)):
+        a, b = frame.ids[sel[i_idx[k]]], frame.ids[sel[j_idx[k]]]
+        lk = float(likelihood[k])
+        out.append(
+            (min(a, b), max(a, b), Opinion(lk * (1.0 - u0), (1.0 - lk) * (1.0 - u0), u0, config.base_rate))
+        )
+    return out
+
+
+def random_frame(rng, n, extent, providers=()):
+    """n individuals with shuffled ids, some sharing a position, plus
+    provider rows (id, x, y) appended last with angle 0."""
+    ids = [int(v) for v in rng.permutation(n) + 1]
+    pos = rng.uniform(0.0, extent, size=(n, 2))
+    if n >= 4:
+        pos[1] = pos[0]  # coincident points: distance 0, phi 1
+        pos[3] = pos[2]
+    ang = rng.uniform(0.0, 2 * math.pi, size=n)
+    ids += [p[0] for p in providers]
+    pos = np.vstack([pos] + [np.array([[p[1], p[2]]]) for p in providers])
+    ang = np.concatenate([ang, np.zeros(len(providers))])
+    return TraceFrame(0.0, tuple(ids), pos, ang)
+
+
+NOISE = [(0.0, 0.0), (0.4, 0.0), (0.0, 0.3), (0.4, 0.3)]
+
+
+class TestObservePeriod:
+    @pytest.mark.parametrize("sigma_pos,sigma_angle", NOISE)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_observer_calls(self, seed, sigma_pos, sigma_angle):
+        rng = np.random.default_rng(seed)
+        # sparse frames leave some observers with fewer than two individuals
+        extent = (6.0, 25.0, 60.0)[seed % 3]
+        providers = ((200, 3.0, 3.0), (0, 5.0, 1.0)) if seed % 2 else ()
+        frame = random_frame(rng, int(rng.integers(1, 14)), extent, providers)
+        cfg = PerceptConfig(
+            observation_radius=8.0, noise_sigma_pos=sigma_pos, noise_sigma_angle=sigma_angle
+        )
+        agentless = set(frame.ids[: len(frame.ids) // 4])
+        observers = [o for o in sorted(frame.ids) if o not in agentless]
+        batched = observe_period(frame, observers, cfg, np.random.default_rng(seed + 100))
+        rng_one = np.random.default_rng(seed + 100)
+        rng_ref = np.random.default_rng(seed + 100)
+        assert list(batched) == observers
+        for o in observers:
+            opinions, neighbours = batched[o]
+            assert opinions == observe(frame, o, cfg, rng_one)
+            assert opinions == reference_observe(frame, o, cfg, rng_ref)
+            assert neighbours == neighbors_within(frame, o, cfg.observation_radius)
+        # all three consumed exactly the same noise
+        follow = np.random.default_rng(seed + 100)
+        observe_period(frame, observers, cfg, follow)
+        assert follow.random() == rng_one.random() == rng_ref.random()
+
+    def test_gmm_matches_per_observer_calls(self):
+        model = fit_gmm(TestGmm().make_labeled(seed=2), seed=3)
+        cfg = PerceptConfig(model="gmm", gmm=model, noise_sigma_pos=0.3, noise_sigma_angle=0.2)
+        frame = random_frame(np.random.default_rng(9), 12, 10.0)
+        observers = sorted(frame.ids)
+        batched = observe_period(frame, observers, cfg, np.random.default_rng(1))
+        rng_ref = np.random.default_rng(1)
+        for o in observers:
+            assert batched[o][0] == reference_observe(frame, o, cfg, rng_ref)
+
+    def test_observer_seeing_nobody_draws_nothing(self):
+        frame = frame_of([(1, 0.0, 0.0, 0.0), (2, 50.0, 0.0, 0.0), (3, 51.0, 0.0, 1.0)])
+        cfg = PerceptConfig(noise_sigma_pos=0.5, noise_sigma_angle=0.5)
+        rng = np.random.default_rng(4)
+        out = observe_period(frame, [1], cfg, rng)
+        assert out == {1: ([], [])}
+        assert rng.random() == np.random.default_rng(4).random()
+
+    def test_coincident_points_face_each_other(self):
+        frame = frame_of([(1, 2.0, 2.0, 0.0), (2, 2.0, 2.0, 2.0)])
+        [(_, _, op)] = observe_period(frame, [1, 2], PerceptConfig(), RNG)[2][0]
+        expected = _likelihood(np.array([0.0]), np.array([1.0]), PerceptConfig())[0]
+        assert op.belief == expected * (1.0 - PerceptConfig().base_uncertainty)
+
+    def test_no_observers(self):
+        assert observe_period(facing_pair(1.0), [], PerceptConfig(), RNG) == {}
+
+    def test_absent_observer_rejected(self):
+        with pytest.raises(ValueError):
+            observe_period(facing_pair(1.0), [1, 99], PerceptConfig(), RNG)
 
 
 class TestConfig:
