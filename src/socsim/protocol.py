@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .messages import HeadMsg, MemberMsg, Message, RequestMsg, ResponseMsg
 from .opinions import (
@@ -94,27 +94,6 @@ class ProtocolConfig:
             self.opinion_ttl = 3.0 * self.period
 
 
-@dataclass(frozen=True)
-class TimerTick:
-    time: float
-
-
-@dataclass(frozen=True)
-class Received:
-    message: Message
-    sender: int
-    time: float
-
-
-@dataclass(frozen=True)
-class PerceptUpdate:
-    opinions: tuple[tuple[int, int, Opinion], ...]
-    neighbors: tuple[tuple[int, AgentKind, float], ...]
-    time: float
-
-
-Event = Union[TimerTick, Received, PerceptUpdate]
-
 # One emission is (message, unicast target or None for broadcast).
 Emission = list[tuple[Message, Optional[int]]]
 
@@ -189,17 +168,7 @@ class Agent:
         self.membership_since.setdefault(self.id, 0.0)
 
     # ------------------------------------------------------------------
-    # event dispatch
-
-    def handle_event(self, event: Event) -> Emission:
-        if isinstance(event, TimerTick):
-            return self.tick(event.time)
-        if isinstance(event, PerceptUpdate):
-            self.apply_percept(event.opinions, event.neighbors, event.time)
-            return []
-        if isinstance(event, Received):
-            return self.handle_message(event.message, event.sender, event.time)
-        raise TypeError(f"unknown event: {event!r}")
+    # message dispatch
 
     def handle_message(self, msg: Message, sender: int, now: float) -> Emission:
         if isinstance(msg, MemberMsg):
