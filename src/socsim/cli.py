@@ -65,7 +65,7 @@ def _load_scenario(args) -> Scenario:
 
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
-    result = harness.run(scenario, args.out_dir)
+    result = harness.run(scenario, args.out_dir, args.format)
     print(json.dumps(result.summary, sort_keys=True))
     return EXIT_OK
 
@@ -83,7 +83,7 @@ def _cmd_replay(args) -> int:
         raise SchemaError("replay needs a replay source (config source.type or --trace)")
     if not scenario.source.trace.exists():
         raise SchemaError(f"trace file not found: {scenario.source.trace}")
-    result = harness.run(scenario, args.out_dir)
+    result = harness.run(scenario, args.out_dir, args.format)
     print(json.dumps(result.summary, sort_keys=True))
     return EXIT_OK
 

@@ -322,8 +322,9 @@ def write_ground_truth(path: Path, frames: Sequence[TraceFrame], truth: GroundTr
 # simulation driver
 
 
-def run(scenario: Scenario, out_dir: Optional[Path] = None) -> RunResult:
-    """Execute one scenario end to end; optionally write result files."""
+def run(scenario: Scenario, out_dir: Optional[Path] = None, fmt: str = "csv") -> RunResult:
+    """Execute one scenario end to end; optionally write result files,
+    with the metrics table as ``fmt`` ("csv" or "jsonl")."""
     frames, truth = _load_source(scenario)
     warn_if_range_below_social(scenario.net, scenario.protocol.social_distance)
 
@@ -425,7 +426,7 @@ def run(scenario: Scenario, out_dir: Optional[Path] = None) -> RunResult:
     summary = _summarize(scenario, metrics_rows)
     result = RunResult(scenario, metrics_rows, partitions, network, summary, role_samples)
     if out_dir is not None:
-        _write_outputs(result, frames, truth, Path(out_dir))
+        _write_outputs(result, frames, truth, Path(out_dir), fmt)
     return result
 
 
@@ -642,7 +643,7 @@ def sweep(
         run_dir = None
         if out_dir is not None:
             run_dir = Path(out_dir) / f"run_{parameter}_{idx}"
-        result = run(scenario, run_dir)
+        result = run(scenario, run_dir, fmt)
         row = {"parameter": parameter, "value": value, "seed": scenario.seed}
         row.update(result.summary)
         rows.append(row)

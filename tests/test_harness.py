@@ -459,6 +459,39 @@ class TestCli:
         assert json.loads(line)["parameter"] == "loss"
 
 
+    def test_jsonl_format_applies_to_run_metrics(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        syn, rep, swp = tmp_path / "syn", tmp_path / "rep", tmp_path / "sweep"
+        jsonl = ["--format", "jsonl"]
+        assert cli.main(["simulate", "--config", str(config), "--out-dir", str(syn)] + jsonl) == 0
+        code = cli.main(
+            [
+                "replay",
+                "--config", str(config),
+                "--trace", str(syn / "trace.csv"),
+                "--ground-truth", str(syn / "ground_truth.csv"),
+                "--out-dir", str(rep),
+            ]
+            + jsonl
+        )
+        assert code == 0
+        code = cli.main(
+            [
+                "sweep",
+                "--config", str(config),
+                "--parameter", "loss",
+                "--values", "0.0",
+                "--out-dir", str(swp),
+            ]
+            + jsonl
+        )
+        assert code == 0
+        for out_dir in (syn, rep, swp / "run_loss_0"):
+            assert not (out_dir / "metrics.csv").exists()
+            rows = (out_dir / "metrics.jsonl").read_text().splitlines()
+            assert json.loads(rows[0])["time"] == 0.0
+
+
 class TestGoldenSummary:
     def test_quick_scenario_pinned_values(self):
         # golden regression: summary of the shipped quick scenario,
