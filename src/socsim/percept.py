@@ -11,7 +11,6 @@ at several accuracy levels.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -116,19 +115,16 @@ def observe_period(
     two individuals draw nothing."""
     obs_idx, dist, within = _visibility(frame, observers, config.observation_radius)
     visible = within.sum(axis=1)
-    # rows of observers that see a pair; each visible (observer, individual)
-    # entry gets a slot in row-major order, the order of its noise draws
-    seen = within & (visible >= 2)[:, None]
-    rows, cols = np.nonzero(seen)
-    slot = np.full(within.shape, -1, dtype=np.intp)
-    slot[seen] = np.arange(len(rows))
+    per_row = np.where(visible >= 2, visible, 0)
+    # one slot per individual seen by an observer that sees a pair, in
+    # row-major order: the order of the noise draws
+    rows, cols = np.nonzero(within & (per_row > 0)[:, None])
+    first = (np.cumsum(per_row) - per_row)[rows]  # first slot of the row
+    rank = np.arange(len(rows)) - first
     pos = frame.pos[cols]
     ang = frame.angle[cols]
     sigma_pos, sigma_ang = config.noise_sigma_pos, config.noise_sigma_angle
     if len(rows) and (sigma_pos > 0.0 or sigma_ang > 0.0):
-        per_row = np.where(visible >= 2, visible, 0)
-        first = (np.cumsum(per_row) - per_row)[rows]  # first slot of the row
-        rank = np.arange(len(rows)) - first
         draws = 2 * (sigma_pos > 0.0) + (sigma_ang > 0.0)
         noise = rng.standard_normal(len(rows) * draws)
         start = draws * first
@@ -138,16 +134,17 @@ def observe_period(
             start = start + 2 * per_row[rows]
         if sigma_ang > 0.0:
             ang = ang + sigma_ang * noise[start + rank]
-    i_all, j_all = _upper_pairs(len(frame.ids))
-    pair_rows, pair_cols = np.nonzero(seen[:, i_all] & seen[:, j_all])
-    i_frame, j_frame = i_all[pair_cols], j_all[pair_cols]
-    dist_ij, phi = _kernels.pair_geometry(
-        pos, ang, slot[pair_rows, i_frame], slot[pair_rows, j_frame]
-    )
+    # slot pairs i < j within each row, in the order of np.triu_indices
+    partners = per_row[rows] - 1 - rank
+    i_slot = np.repeat(np.arange(len(rows)), partners)
+    offset = np.arange(len(i_slot)) - np.repeat(np.cumsum(partners) - partners, partners)
+    j_slot = i_slot + 1 + offset
+    pair_rows = rows[i_slot]
+    dist_ij, phi = _kernels.pair_geometry(pos, ang, i_slot, j_slot)
     likelihood = _likelihood(dist_ij, phi, config)
     u0, base_rate = config.base_uncertainty, config.base_rate
     ids = np.asarray(frame.ids)
-    a, b = ids[i_frame], ids[j_frame]
+    a, b = ids[cols[i_slot]], ids[cols[j_slot]]
     opinions = [
         (lo, hi, Opinion(belief, disbelief, u0, base_rate))
         for lo, hi, belief, disbelief in zip(
@@ -208,15 +205,6 @@ def _neighbour_lists(
     pairs = list(zip(np.asarray(frame.ids)[cols].tolist(), dist[rows, cols].tolist()))
     ends = np.cumsum(others.sum(axis=1)).tolist()
     return [pairs[start:end] for start, end in zip([0] + ends, ends)]
-
-
-@functools.lru_cache(maxsize=32)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays of the unordered pairs i < j of ``n`` items."""
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    i_idx.flags.writeable = False
-    j_idx.flags.writeable = False
-    return i_idx, j_idx
 
 
 def _likelihood(dist: np.ndarray, phi: np.ndarray, config: PerceptConfig) -> np.ndarray:
