@@ -135,8 +135,7 @@ class Network:
     ) -> None:
         """Run one protocol period at simulation time ``now``."""
         self._step_no += 1
-        self._receivers = self._range_table(positions)
-        self._record_neighbor_counts(agents)
+        self._update_range(positions, agents)
         order = sorted(agents)
         self._drain(now, agents)
         for aid in order:
@@ -166,26 +165,27 @@ class Network:
 
     # ------------------------------------------------------------------
 
-    def _range_table(self, positions: dict[int, tuple[float, float]]) -> dict[int, list[int]]:
-        """For every position, the ascending ids of the others within
-        comm range: dx * dx + dy * dy <= comm_range ** 2."""
+    def _update_range(
+        self, positions: dict[int, tuple[float, float]], agents: dict[int, Agent]
+    ) -> None:
+        """Build this step's range table, every position's ascending list of
+        the others within comm range (dx * dx + dy * dy <= comm_range ** 2),
+        and record each live agent's count of live agents in it."""
         ids = sorted(positions)
-        if not ids:
-            return {}
-        pos = np.array([positions[a] for a in ids], dtype=float)
+        pos = np.array([positions[a] for a in ids], dtype=float).reshape(-1, 2)
         dx = pos[:, 0][:, None] - pos[:, 0][None, :]
         dy = pos[:, 1][:, None] - pos[:, 1][None, :]
         within = dx * dx + dy * dy <= self.config.comm_range**2
         np.fill_diagonal(within, False)
-        receivers = np.asarray(ids)[np.nonzero(within)[1]].tolist()
+        receivers = np.asarray(ids, dtype=np.int64)[np.nonzero(within)[1]].tolist()
         ends = np.cumsum(within.sum(axis=1)).tolist()
-        return {aid: receivers[start:end] for aid, start, end in zip(ids, [0] + ends, ends)}
-
-    def _record_neighbor_counts(self, agents: dict[int, Agent]) -> None:
+        self._receivers = {
+            aid: receivers[start:end] for aid, start, end in zip(ids, [0] + ends, ends)
+        }
+        live = np.array([aid in agents for aid in ids], dtype=bool)
+        counts = (within & live).sum(axis=1).tolist()
         self.log.neighbor_counts[self._step_no] = {
-            aid: sum(1 for other in self._receivers[aid] if other in agents)
-            for aid in sorted(agents)
-            if aid in self._receivers
+            aid: count for aid, count, alive in zip(ids, counts, live.tolist()) if alive
         }
 
     def _emit(self, now: float, sender: int, emissions, deliver_step: Optional[int] = None) -> None:
