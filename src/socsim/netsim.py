@@ -207,11 +207,11 @@ class Network:
                 kept = self._rng.random(len(receivers)) >= cfg.loss_probability
                 receivers = [r for r, keep in zip(receivers, kept.tolist()) if keep]
             if receivers:
-                deliver_step = base_step + cfg.latency
-                queue = self._queue.setdefault(deliver_step, [])
+                due = base_step + cfg.latency
+                queue = self._queue.setdefault(due, [])
                 for receiver in receivers:
                     self._seq += 1
-                    queue.append(QueuedDelivery(deliver_step, self._seq, receiver, message, sender))
+                    queue.append(QueuedDelivery(due, self._seq, receiver, message, sender))
             self.log.entries.append(
                 LogEntry(base_step, now, message, sender, target, tuple(receivers))
             )
