@@ -129,9 +129,8 @@ def reference_observe(frame, observer, config, rng):
     for k in range(len(i_idx)):
         a, b = frame.ids[sel[i_idx[k]]], frame.ids[sel[j_idx[k]]]
         lk = float(likelihood[k])
-        out.append(
-            (min(a, b), max(a, b), Opinion(lk * (1.0 - u0), (1.0 - lk) * (1.0 - u0), u0, config.base_rate))
-        )
+        op = Opinion(lk * (1.0 - u0), (1.0 - lk) * (1.0 - u0), u0, config.base_rate)
+        out.append((min(a, b), max(a, b), op))
     return out
 
 
