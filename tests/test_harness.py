@@ -530,3 +530,74 @@ class TestOfflineCompare:
         )
         assert summary["rand_mean"] == 1.0
         assert summary["jaccard_mean"] == 1.0
+
+    # sha256 of the `socsim metrics --out` file in each format, and the
+    # stdout summary, for two comparisons: the quick scenario's ground truth
+    # against the partitions of another seed, and the triads fixture truth
+    # (agents 1-9) against the quick partitions (agents 0-7), so truth
+    # agents the prediction lacks are padded as singletons
+    PINNED = {
+        "quick_vs_seed8": (
+            "2ce3d97d99a3ab4e4b102867ad6b95cd938a944a48c05c32e7ca59d8d05d1dc3",
+            "1b43dd5107839dbc56934f0a353b491099c498db4580fcfa1839c552f12a45ab",
+            {
+                "ari_mean": 0.436626971480537,
+                "ari_std": 0.5256654957696061,
+                "jaccard_mean": 0.47362485998849635,
+                "jaccard_std": 0.4893130832947796,
+                "rand_mean": 0.7733175914994097,
+                "rand_std": 0.21274092648220536,
+                "samples": 121,
+            },
+        ),
+        "triads_truth_vs_quick": (
+            "7785d65a967f2460c809977c7c97d9b439f0741b3daa40ec555615b495598ee5",
+            "3d28017264915ea949bb61475e37724a1dda4554d077fbb7107052ed466e257b",
+            {
+                "ari_mean": -0.005012531328320803,
+                "ari_std": 0.015449659155310717,
+                "jaccard_mean": 0.0,
+                "jaccard_std": 0.0,
+                "rand_mean": 0.7473544973544973,
+                "rand_std": 0.008153986776413994,
+                "samples": 231,
+            },
+        ),
+    }
+
+    def test_metrics_command_output_pinned(self, tmp_path, capsys):
+        import dataclasses
+        import hashlib
+
+        from socsim.harness import load_scenario
+
+        root = Path(__file__).parent.parent
+        quick = load_scenario(root / "scenarios" / "quick.json")
+        run(quick, tmp_path / "seed7")
+        run(dataclasses.replace(quick, seed=8), tmp_path / "seed8")
+        pairs = {
+            "quick_vs_seed8": (
+                tmp_path / "seed7" / "ground_truth.csv",
+                tmp_path / "seed8" / "partitions.csv",
+            ),
+            "triads_truth_vs_quick": (
+                root / "scenarios" / "fixtures" / "triads_truth.csv",
+                tmp_path / "seed7" / "partitions.csv",
+            ),
+        }
+        for name, (truth, predicted) in pairs.items():
+            csv_digest, jsonl_digest, summary = self.PINNED[name]
+            for fmt, digest in (("csv", csv_digest), ("jsonl", jsonl_digest)):
+                out = tmp_path / f"{name}.{fmt}"
+                code = cli.main(
+                    [
+                        "metrics",
+                        "--truth", str(truth),
+                        "--predicted", str(predicted),
+                        "--out", str(out),
+                        "--format", fmt,
+                    ]
+                )
+                assert code == 0
+                assert json.loads(capsys.readouterr().out) == summary, (name, fmt)
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, fmt)
