@@ -103,20 +103,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_metrics(args) -> int:
     rows, summary = harness.compare_partition_files(args.truth, args.predicted)
     if args.out is not None:
-        header = [
-            "time",
-            "rand",
-            "ari",
-            "jaccard",
-            "n_situations_truth",
-            "n_situations_protocol",
-            "false_positive_pairs",
-        ]
-        table = [
-            [r.time, r.rand, r.ari, r.jaccard, r.n_truth, r.n_protocol, r.fp_pairs]
-            for r in rows
-        ]
-        harness._write_table(args.out, header, table, args.format)
+        harness.write_metrics(args.out, rows, args.format)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 

@@ -15,19 +15,14 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import mobility, percept
-from .metrics import (
-    Partition,
-    adjusted_rand_index,
-    jaccard_index,
-    pair_counts,
-    rand_index,
-    series_summary,
-)
+from .metrics import Partition, scores, series_summary
+# perfbench wraps these names on this module in traced runs, so they stay importable here
+from .metrics import adjusted_rand_index, jaccard_index, pair_counts, rand_index  # noqa: F401
 from .mobility import GroundTruth, MobilityConfig, TraceFrame
 from .netsim import NetConfig, Network, warn_if_range_below_social
 from .percept import PerceptConfig
@@ -108,9 +103,6 @@ class RunResult:
     # per sample: live agent id -> (role, head id); protocol observability
     role_samples: list[tuple[float, dict[int, tuple[Role, int]]]] = field(default_factory=list)
 
-    def metric_series(self, name: str) -> list[float]:
-        return [getattr(r, name) for r in self.metrics_rows if getattr(r, name) is not None]
-
 
 # ----------------------------------------------------------------------
 # scenario (de)serialization
@@ -118,6 +110,11 @@ class RunResult:
 
 def scenario_from_dict(raw: dict) -> Scenario:
     try:
+        if not isinstance(raw, dict):
+            raise ValueError("a scenario config must be a JSON object")
+        unknown = set(raw) - {f.name for f in dataclasses.fields(Scenario)}
+        if unknown:
+            raise ValueError(f"unknown scenario keys {sorted(unknown)}")
         src_raw = raw.get("source")
         if not isinstance(src_raw, dict) or "type" not in src_raw:
             raise ValueError("config needs a source object with a type field")
@@ -191,41 +188,29 @@ TRUTH_HEADER = "time,situation_id,member_ids"
 
 
 def ingest_trace(
-    path: Path,
-    format: str = "csv",
-    ground_truth: Optional[Path] = None,
+    path: Path, ground_truth: Optional[Path] = None
 ) -> tuple[list[TraceFrame], Optional[GroundTruth]]:
     """Read a trace CSV (and optional ground-truth CSV) into frames.
 
     Irregular timesteps are resampled onto a uniform grid by nearest
     frame; shoulder angles outside [0, 2*pi) are normalized with a
-    warning."""
-    if format != "csv":
-        raise SchemaError(f"unsupported trace format {format!r}")
+    warning; non-finite times, coordinates and angles are rejected."""
     rows: dict[float, list[tuple[int, float, float, float]]] = {}
     normalized = 0
     two_pi = 2 * math.pi
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise SchemaError(f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise SchemaError(f"expected 5 fields, got {len(parts)}", line=lineno)
-            try:
-                t = float(parts[0])
-                aid = int(parts[1])
-                x, y, ang = float(parts[2]), float(parts[3]), float(parts[4])
-            except ValueError as exc:
-                raise SchemaError(str(exc), line=lineno) from exc
-            if not 0.0 <= ang < two_pi:
-                ang = ang % two_pi
-                normalized += 1
-            rows.setdefault(t, []).append((aid, x, y, ang))
+    for lineno, parts in _csv_rows(path, TRACE_HEADER):
+        try:
+            t = float(parts[0])
+            aid = int(parts[1])
+            x, y, ang = float(parts[2]), float(parts[3]), float(parts[4])
+        except ValueError as exc:
+            raise SchemaError(str(exc), line=lineno) from exc
+        if not all(map(math.isfinite, (t, x, y, ang))):
+            raise SchemaError("non-finite time, coordinate or angle", line=lineno)
+        if not 0.0 <= ang < two_pi:
+            ang = ang % two_pi
+            normalized += 1
+        rows.setdefault(t, []).append((aid, x, y, ang))
     if normalized:
         log.warning("normalized %d shoulder angles into [0, 2*pi)", normalized)
     if not rows:
@@ -238,17 +223,60 @@ def ingest_trace(
         if np.any(np.abs(diffs - dt) > 1e-6):
             log.warning("irregular trace timestep; resampling by nearest frame")
             grid = np.arange(times[0], times[-1] + dt / 2, dt)
-            src_times = np.asarray(times)
             frames = [
-                dataclasses.replace(
-                    frames[int(np.argmin(np.abs(src_times - g)))], time=float(g)
-                )
-                for g in grid
+                dataclasses.replace(frames[i], time=float(g))
+                for g, i in zip(grid, _nearest(times, grid))
             ]
     truth = None
     if ground_truth is not None:
-        truth = _ingest_ground_truth(ground_truth, frames)
+        truth = _align_truth(read_situations(ground_truth), frames)
     return frames, truth
+
+
+def read_situations(path: Path) -> dict[float, list[frozenset[int]]]:
+    """Read a ``time,situation_id,member_ids`` file (ground truth or
+    protocol partitions) into the member sets listed at each time."""
+    situations: dict[float, list[frozenset[int]]] = {}
+    for lineno, parts in _csv_rows(path, TRUTH_HEADER):
+        try:
+            t = float(parts[0])
+            members = frozenset(int(v) for v in parts[2].split(";") if v)
+        except ValueError as exc:
+            raise SchemaError(str(exc), line=lineno) from exc
+        if not math.isfinite(t):
+            raise SchemaError(f"non-finite time {parts[0]!r}", line=lineno)
+        if not members:
+            raise SchemaError("empty situation member list", line=lineno)
+        situations.setdefault(t, []).append(members)
+    return situations
+
+
+def _csv_rows(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line after ``header``."""
+    n_fields = header.count(",") + 1
+    with open(path, "r", encoding="utf-8") as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise SchemaError(f"expected header {header!r}, got {found!r}", line=1)
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise SchemaError(f"expected {n_fields} fields, got {len(parts)}", line=lineno)
+            yield lineno, parts
+
+
+def _nearest(times: Sequence[float], queries: Sequence[float]) -> np.ndarray:
+    """Index of the nearest of the ascending ``times`` to each query; a tie
+    goes to the earlier time."""
+    times = np.asarray(times, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    above = np.searchsorted(times, queries)
+    lo = np.maximum(above - 1, 0)
+    hi = np.minimum(above, len(times) - 1)
+    return np.where(np.abs(times[hi] - queries) < np.abs(times[lo] - queries), hi, lo)
 
 
 def _build_frame(t: float, rows: list[tuple[int, float, float, float]]) -> TraceFrame:
@@ -261,38 +289,17 @@ def _build_frame(t: float, rows: list[tuple[int, float, float, float]]) -> Trace
     return TraceFrame(t, ids, pos, ang)
 
 
-def _ingest_ground_truth(path: Path, frames: list[TraceFrame]) -> GroundTruth:
-    by_time: dict[float, list[frozenset[int]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRUTH_HEADER:
-            raise SchemaError(f"expected header {TRUTH_HEADER!r}, got {header!r}", line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise SchemaError(f"expected 3 fields, got {len(parts)}", line=lineno)
-            try:
-                t = float(parts[0])
-                members = frozenset(int(v) for v in parts[2].split(";") if v)
-            except ValueError as exc:
-                raise SchemaError(str(exc), line=lineno) from exc
-            if not members:
-                raise SchemaError("empty situation member list", line=lineno)
-            by_time.setdefault(t, []).append(members)
-    times = np.asarray(sorted(by_time))
+def _align_truth(
+    situations: dict[float, list[frozenset[int]]], frames: Sequence[TraceFrame]
+) -> GroundTruth:
+    """Each frame's situations at the nearest truth time, with the frame's
+    agents that no situation lists added as singletons."""
+    times = sorted(situations)
+    nearest = _nearest(times, [f.time for f in frames]) if times else ()
     truth: GroundTruth = []
-    for frame in frames:
-        if len(times) == 0:
-            truth.append(tuple(frozenset((a,)) for a in frame.ids))
-            continue
-        nearest = float(times[int(np.argmin(np.abs(times - frame.time)))])
-        blocks = list(by_time[nearest])
-        covered: set[int] = set()
-        for b in blocks:
-            covered |= b
+    for k, frame in enumerate(frames):
+        blocks = list(situations[times[nearest[k]]]) if times else []
+        covered = set().union(*blocks)
         blocks.extend(frozenset((a,)) for a in frame.ids if a not in covered)
         truth.append(tuple(blocks))
     return truth
@@ -310,12 +317,19 @@ def write_trace(path: Path, frames: Sequence[TraceFrame]) -> None:
 
 
 def write_ground_truth(path: Path, frames: Sequence[TraceFrame], truth: GroundTruth) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    _write_situations(path, ((frame.time, blocks) for frame, blocks in zip(frames, truth)))
+
+
+def _write_situations(
+    path: Path, samples: Iterable[tuple[float, Iterable[frozenset[int]]]]
+) -> None:
+    """Write (time, situations) samples in the format ``read_situations`` reads."""
+    with _atomic_write(path) as fh:
         fh.write(TRUTH_HEADER + "\n")
-        for frame, blocks in zip(frames, truth):
+        for t, blocks in samples:
             for sid, block in enumerate(blocks):
                 members = ";".join(str(m) for m in sorted(block))
-                fh.write(f"{frame.time!r},{sid},{members}\n")
+                fh.write(f"{t!r},{sid},{members}\n")
 
 
 # ----------------------------------------------------------------------
@@ -416,14 +430,16 @@ def run(scenario: Scenario, out_dir: Optional[Path] = None, fmt: str = "csv") ->
             universe = frozenset(a for a in frame.ids if kind_map[a] is not AgentKind.OPINION_PROVIDER)
             protocol_partition = extract_partition(agents, network, universe, scenario.protocol)
             partitions.append((now, protocol_partition))
-            metrics_rows.append(
-                _metrics_row(now, protocol_partition, truth, frame_idx, universe)
+            truth_partition = (
+                None if truth is None else Partition(truth[frame_idx]).restricted(universe)
             )
+            n_protocol = protocol_partition.non_singleton_count()
+            metrics_rows.append(_score(now, truth_partition, protocol_partition, n_protocol))
             role_samples.append(
                 (now, {aid: (a.role, a.head_id) for aid, a in sorted(agents.items())})
             )
 
-    summary = _summarize(scenario, metrics_rows)
+    summary = {"seed": scenario.seed, **_summarize(metrics_rows)}
     result = RunResult(scenario, metrics_rows, partitions, network, summary, role_samples)
     if out_dir is not None:
         _write_outputs(result, frames, truth, Path(out_dir), fmt)
@@ -438,9 +454,15 @@ def _load_source(scenario: Scenario) -> tuple[list[TraceFrame], Optional[GroundT
             scenario.source.mobility, seed=scenario.source.mobility.seed ^ scenario.seed
         )
         return mobility.generate(mob, scenario.duration, scenario.dt)
-    return ingest_trace(
-        scenario.source.trace, "csv", ground_truth=scenario.source.ground_truth
-    )
+    frames, truth = ingest_trace(scenario.source.trace, scenario.source.ground_truth)
+    # the run reads frame k * steps_per_period at time k * period
+    if abs(frames[0].time) > 1e-9:
+        raise SchemaError(f"trace starts at t={frames[0].time!r}, a replay must start at t=0")
+    if len(frames) > 1:
+        step = float(np.median(np.diff([f.time for f in frames])))
+        if abs(step - scenario.dt) > 1e-9:
+            raise SchemaError(f"trace step {step!r} s differs from scenario dt {scenario.dt!r} s")
+    return frames, truth
 
 
 def _frame_with_providers(
@@ -489,36 +511,27 @@ def extract_partition(
     return Partition(list(blocks.values()) + leftovers)
 
 
-def _metrics_row(
-    now: float,
-    protocol_partition: Partition,
-    truth: Optional[GroundTruth],
-    frame_idx: int,
-    universe: frozenset[int],
+def _score(
+    time: float, truth: Optional[Partition], pred: Partition, n_protocol: Optional[int] = None
 ) -> MetricsRow:
-    n_protocol = protocol_partition.non_singleton_count()
+    """One metrics row of ``pred`` against ``truth`` (no scores without a
+    truth). ``pred`` is restricted to the truth universe and padded with
+    singletons for the truth agents it lacks; ``n_protocol`` defaults to
+    that restricted prediction's situation count."""
     if truth is None:
-        return MetricsRow(now, None, None, None, None, n_protocol, None)
-    truth_partition = Partition(truth[frame_idx]).restricted(universe)
-    pred = protocol_partition.restricted(truth_partition.universe)
-    if len(truth_partition.universe) < 2:
-        return MetricsRow(
-            now, 1.0, 1.0, 1.0, truth_partition.non_singleton_count(), n_protocol, 0
-        )
-    _, _, n01, _ = pair_counts(truth_partition, pred)
-    return MetricsRow(
-        now,
-        rand_index(truth_partition, pred),
-        adjusted_rand_index(truth_partition, pred),
-        jaccard_index(truth_partition, pred),
-        truth_partition.non_singleton_count(),
-        n_protocol,
-        n01,
-    )
+        return MetricsRow(time, None, None, None, None, n_protocol, None)
+    pred = pred.restricted(truth.universe)
+    missing = truth.universe - pred.universe
+    if missing:
+        pred = Partition(list(pred.blocks) + [{m} for m in missing])
+    if n_protocol is None:
+        n_protocol = pred.non_singleton_count()
+    rand, ari, jaccard, n01 = scores(truth, pred)
+    return MetricsRow(time, rand, ari, jaccard, truth.non_singleton_count(), n_protocol, n01)
 
 
-def _summarize(scenario: Scenario, rows: list[MetricsRow]) -> dict:
-    summary: dict = {"seed": scenario.seed, "samples": len(rows)}
+def _summarize(rows: Sequence[MetricsRow]) -> dict:
+    summary: dict = {"samples": len(rows)}
     for name in ("rand", "ari", "jaccard"):
         series = [getattr(r, name) for r in rows if getattr(r, name) is not None]
         if series:
@@ -535,6 +548,17 @@ def _summarize(scenario: Scenario, rows: list[MetricsRow]) -> dict:
 # output files
 
 
+METRICS_HEADER = (
+    "time",
+    "rand",
+    "ari",
+    "jaccard",
+    "n_situations_truth",
+    "n_situations_protocol",
+    "false_positive_pairs",
+)
+
+
 def _format_value(v) -> str:
     if v is None:
         return ""
@@ -543,6 +567,7 @@ def _format_value(v) -> str:
     return str(v)
 
 
+# perfbench wraps this name in traced runs, as it does run, ingest_trace and extract_partition
 def _write_outputs(
     result: RunResult,
     frames: Sequence[TraceFrame],
@@ -552,27 +577,8 @@ def _write_outputs(
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = result.scenario
-    header = [
-        "time",
-        "rand",
-        "ari",
-        "jaccard",
-        "n_situations_truth",
-        "n_situations_protocol",
-        "false_positive_pairs",
-    ]
-    rows = [
-        [r.time, r.rand, r.ari, r.jaccard, r.n_truth, r.n_protocol, r.fp_pairs]
-        for r in result.metrics_rows
-    ]
-    _write_table(out_dir / f"metrics.{fmt}", header, rows, fmt)
-
-    with _atomic_write(out_dir / "partitions.csv") as fh:
-        fh.write(TRUTH_HEADER + "\n")
-        for t, partition in result.partitions:
-            for sid, block in enumerate(partition.blocks):
-                members = ";".join(str(m) for m in sorted(block))
-                fh.write(f"{t!r},{sid},{members}\n")
+    write_metrics(out_dir / f"metrics.{fmt}", result.metrics_rows, fmt)
+    _write_situations(out_dir / "partitions.csv", ((t, p.blocks) for t, p in result.partitions))
 
     log_name = "messages.log.gz" if scenario.gzip_log else "messages.log"
     result.network.log.write(out_dir / log_name)
@@ -587,7 +593,13 @@ def _write_outputs(
         fh.write("\n")
 
 
-def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
+def write_metrics(path: Path, rows: Sequence[MetricsRow], fmt: str = "csv") -> None:
+    """Write metrics rows as a CSV table or as JSON lines."""
+    table = [(r.time, r.rand, r.ari, r.jaccard, r.n_truth, r.n_protocol, r.fp_pairs) for r in rows]
+    _write_table(path, METRICS_HEADER, table, fmt)
+
+
+def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> None:
     with _atomic_write(path) as fh:
         if fmt == "jsonl":
             for row in rows:
@@ -678,62 +690,16 @@ def _apply_parameter(base: Scenario, parameter: str, value) -> Scenario:
 def compare_partition_files(
     truth_path: Path, predicted_path: Path
 ) -> tuple[list[MetricsRow], dict]:
-    """Offline partition comparison of two situation CSV files."""
-    truth_frames = _read_partition_file(truth_path)
-    pred_frames = _read_partition_file(predicted_path)
-    rows: list[MetricsRow] = []
-    pred_times = np.asarray(sorted(pred_frames))
-    if len(pred_times) == 0:
+    """Offline comparison of two situation files: each truth time is scored
+    against the nearest predicted time."""
+    truth = read_situations(truth_path)
+    predicted = read_situations(predicted_path)
+    if not predicted:
         raise SchemaError(f"no partitions in {predicted_path}")
-    for t in sorted(truth_frames):
-        nearest = float(pred_times[int(np.argmin(np.abs(pred_times - t)))])
-        truth_part = Partition(truth_frames[t])
-        pred_part = Partition(pred_frames[nearest]).restricted(truth_part.universe)
-        missing = truth_part.universe - pred_part.universe
-        if missing:
-            pred_part = Partition(list(pred_part.blocks) + [{m} for m in missing])
-        if len(truth_part.universe) < 2:
-            rows.append(MetricsRow(t, 1.0, 1.0, 1.0, 0, 0, 0))
-            continue
-        _, _, n01, _ = pair_counts(truth_part, pred_part)
-        rows.append(
-            MetricsRow(
-                t,
-                rand_index(truth_part, pred_part),
-                adjusted_rand_index(truth_part, pred_part),
-                jaccard_index(truth_part, pred_part),
-                truth_part.non_singleton_count(),
-                pred_part.non_singleton_count(),
-                n01,
-            )
-        )
-    summary: dict = {"samples": len(rows)}
-    for name in ("rand", "ari", "jaccard"):
-        series = [getattr(r, name) for r in rows if getattr(r, name) is not None]
-        if series:
-            mean, std = series_summary(series)
-            summary[f"{name}_mean"] = mean
-            summary[f"{name}_std"] = std
-    return rows, summary
-
-
-def _read_partition_file(path: Path) -> dict[float, list[frozenset[int]]]:
-    frames: dict[float, list[frozenset[int]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRUTH_HEADER:
-            raise SchemaError(f"expected header {TRUTH_HEADER!r}, got {header!r}", line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise SchemaError(f"expected 3 fields, got {len(parts)}", line=lineno)
-            try:
-                t = float(parts[0])
-                members = frozenset(int(v) for v in parts[2].split(";") if v)
-            except ValueError as exc:
-                raise SchemaError(str(exc), line=lineno) from exc
-            frames.setdefault(t, []).append(members)
-    return frames
+    pred_times = sorted(predicted)
+    truth_times = sorted(truth)
+    rows = [
+        _score(t, Partition(truth[t]), Partition(predicted[pred_times[i]]))
+        for t, i in zip(truth_times, _nearest(pred_times, truth_times))
+    ]
+    return rows, _summarize(rows)

@@ -97,57 +97,41 @@ def pair_counts(p: Partition, q: Partition) -> tuple[int, int, int, int]:
     return n11, n10, n01, n00
 
 
-def rand_index(p: Partition, q: Partition) -> float:
-    """(agreements) / (all pairs); defined as 1 for fewer than 2 agents."""
-    n = len(p.universe)
-    if n < 2:
+def scores(p: Partition, q: Partition) -> tuple[float, float, float, int]:
+    """Rand, adjusted Rand and Jaccard indices of ``q`` against ``p``, and
+    the pairs together only in ``q``, all from one pair-count table
+    (Hubert & Arabie, "Comparing partitions", 1985). Fewer than 2 agents
+    score (1, 1, 1, 0); so do the 0/0 cases of ARI (e.g. two all-singleton
+    partitions) and Jaccard (no pair co-clustered by either)."""
+    if len(p.universe) < 2:
         if p.universe != q.universe:
             raise UniverseMismatchError("universe mismatch")
-        return 1.0
+        return 1.0, 1.0, 1.0, 0
     n11, n10, n01, n00 = pair_counts(p, q)
-    return (n11 + n00) / _comb2(n)
+    total = n11 + n10 + n01 + n00
+    sum_a = n11 + n10
+    sum_b = n11 + n01
+    expected = sum_a * sum_b / total
+    denom = 0.5 * (sum_a + sum_b) - expected
+    ari = 1.0 if denom == 0 else (n11 - expected) / denom
+    together = n11 + n10 + n01
+    jaccard = 1.0 if together == 0 else n11 / together
+    return (n11 + n00) / total, ari, jaccard, n01
+
+
+def rand_index(p: Partition, q: Partition) -> float:
+    """Share of agent pairs on which the partitions agree."""
+    return scores(p, q)[0]
 
 
 def adjusted_rand_index(p: Partition, q: Partition) -> float:
-    """Chance-corrected Rand index from the contingency table; the 0/0
-    degenerate case (e.g. two all-singleton partitions) is defined as 1."""
-    n = len(p.universe)
-    if n < 2:
-        if p.universe != q.universe:
-            raise UniverseMismatchError("universe mismatch")
-        return 1.0
-    if p.universe != q.universe:
-        raise UniverseMismatchError("universe mismatch")
-    p_labels = p.labels()
-    q_labels = q.labels()
-    contingency: dict[tuple[int, int], int] = {}
-    for agent in p.universe:
-        key = (p_labels[agent], q_labels[agent])
-        contingency[key] = contingency.get(key, 0) + 1
-    index = sum(_comb2(c) for c in contingency.values())
-    sum_a = sum(_comb2(len(b)) for b in p.blocks)
-    sum_b = sum(_comb2(len(b)) for b in q.blocks)
-    expected = sum_a * sum_b / _comb2(n)
-    max_index = 0.5 * (sum_a + sum_b)
-    denom = max_index - expected
-    if denom == 0:
-        return 1.0
-    return (index - expected) / denom
+    """Chance-corrected Rand index."""
+    return scores(p, q)[1]
 
 
 def jaccard_index(p: Partition, q: Partition) -> float:
-    """Co-clustered-pair overlap; 1 when neither partition co-clusters
-    any pair at all."""
-    n = len(p.universe)
-    if n < 2:
-        if p.universe != q.universe:
-            raise UniverseMismatchError("universe mismatch")
-        return 1.0
-    n11, n10, n01, _ = pair_counts(p, q)
-    denom = n11 + n10 + n01
-    if denom == 0:
-        return 1.0
-    return n11 / denom
+    """Co-clustered pairs shared by both over those of either."""
+    return scores(p, q)[2]
 
 
 def series_summary(values: Sequence[float]) -> tuple[float, float]:

@@ -1,11 +1,14 @@
 """Harness tests: config parsing, ingestion, pipeline runs, CLI surface."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from socsim import cli
 from socsim.harness import (
@@ -13,9 +16,11 @@ from socsim.harness import (
     Scenario,
     SchemaError,
     SyntheticSource,
+    _nearest,
     compare_partition_files,
     ingest_trace,
     load_scenario,
+    read_situations,
     run,
     scenario_from_dict,
     sweep,
@@ -60,6 +65,11 @@ class TestScenarioConfig:
         with pytest.raises(SchemaError):
             scenario_from_dict({"source": {"type": "teleport"}})
 
+    def test_unknown_top_level_key_rejected(self):
+        raw = {"source": {"type": "synthetic"}, "durration": 20.0}
+        with pytest.raises(SchemaError, match="durration"):
+            scenario_from_dict(raw)
+
     def test_load_scenario_reports_json_errors(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken\n}")
@@ -87,7 +97,7 @@ class TestIngest:
         write_trace(tmp_path / "trace.csv", frames)
         write_ground_truth(tmp_path / "truth.csv", frames, truth)
         frames2, truth2 = ingest_trace(
-            tmp_path / "trace.csv", "csv", ground_truth=tmp_path / "truth.csv"
+            tmp_path / "trace.csv", ground_truth=tmp_path / "truth.csv"
         )
         assert len(frames2) == len(frames)
         for fa, fb in zip(frames, frames2):
@@ -131,6 +141,60 @@ class TestIngest:
         assert "resampling" in caplog.text
         diffs = {round(b.time - a.time, 9) for a, b in zip(frames, frames[1:])}
         assert len(diffs) == 1
+        # x holds the source frame's time: grid 1.0 takes 1.3 (0.3 away), not 0.5
+        assert [f.time for f in frames] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert [float(f.pos[0, 0]) for f in frames] == [0.0, 0.5, 1.3, 1.5, 2.0]
+
+    @pytest.mark.parametrize(
+        "row", ["nan,2,1.0,0.0,0.0", "0.0,2,nan,0.0,0.0", "0.0,2,1.0,inf,0.0", "0.0,2,1.0,0.0,-inf"]
+    )
+    def test_non_finite_trace_value_rejected(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"time,agent_id,x,y,shoulder_angle\n0.0,1,0.0,0.0,0.0\n{row}\n")
+        with pytest.raises(SchemaError) as err:
+            ingest_trace(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_situation_time_rejected(self, tmp_path, time):
+        path = tmp_path / "truth.csv"
+        path.write_text(f"time,situation_id,member_ids\n0.0,0,1;2\n{time},0,1;2\n")
+        with pytest.raises(SchemaError) as err:
+            read_situations(path)
+        assert err.value.line == 3
+
+    def test_empty_situation_rejected_with_line(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("time,situation_id,member_ids\n0.0,0,1;2\n0.0,1,\n")
+        with pytest.raises(SchemaError) as err:
+            compare_partition_files(path, path)
+        assert err.value.line == 3
+
+
+class TestNearest:
+    @given(
+        times=st.lists(st.integers(-400, 400), min_size=1, max_size=40, unique=True),
+        queries=st.lists(st.integers(-1000, 1000), max_size=40),
+    )
+    @example(times=[3], queries=[-50, 3, 50])
+    @example(times=[0, 2, 4], queries=[1, 3, -9, 9])
+    def test_matches_argmin(self, times, queries):
+        # quarter-unit times and eighth-unit queries keep every distance
+        # exact, so a query midway between two times is an exact tie
+        t = np.array(sorted(times)) * 0.25
+        q = np.array(queries, dtype=float) * 0.125
+        expected = [int(np.argmin(np.abs(t - x))) for x in q]
+        assert _nearest(t, q).tolist() == expected
+
+    @given(
+        times=st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=30, unique=True),
+        queries=st.lists(st.floats(-1e12, 1e12), max_size=30),
+    )
+    def test_picks_a_nearest_time(self, times, queries):
+        # with rounded distances several times can tie; any pick is nearest
+        t = np.array(sorted(times))
+        for x, i in zip(queries, _nearest(t, queries)):
+            assert abs(t[i] - x) == np.min(np.abs(t - x))
 
 
 class TestRun:
@@ -165,6 +229,36 @@ class TestRun:
         run(replay, tmp_path / "rep")
         for name in ("metrics.csv", "partitions.csv", "messages.log"):
             assert (tmp_path / "syn" / name).read_bytes() == (tmp_path / "rep" / name).read_bytes()
+
+    @pytest.mark.parametrize("trace_dt", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("dt", [0.25, 0.5, 1.0])
+    def test_replay_needs_trace_step_equal_to_dt(self, tmp_path, trace_dt, dt):
+        synthetic = synthetic_scenario(duration=10.0, dt=trace_dt)
+        run(synthetic, tmp_path / "syn")
+        replay = dataclasses.replace(
+            synthetic,
+            source=ReplaySource(
+                tmp_path / "syn" / "trace.csv", tmp_path / "syn" / "ground_truth.csv"
+            ),
+            dt=dt,
+        )
+        if dt != trace_dt:
+            with pytest.raises(SchemaError, match=f"trace step {trace_dt!r} s"):
+                run(replay, tmp_path / "rep")
+            assert not (tmp_path / "rep").exists()
+            return
+        run(replay, tmp_path / "rep")
+        for name in ("metrics.csv", "partitions.csv", "messages.log"):
+            assert (tmp_path / "syn" / name).read_bytes() == (tmp_path / "rep" / name).read_bytes()
+
+    def test_replay_must_start_at_zero(self, tmp_path):
+        frames, _ = generate(MobilityConfig(n_agents=3, seed=1), 10.0, 0.5)
+        shifted = [dataclasses.replace(f, time=f.time + 1.0) for f in frames]
+        write_trace(tmp_path / "trace.csv", shifted)
+        scenario = Scenario(source=ReplaySource(tmp_path / "trace.csv"), duration=10.0, dt=0.5)
+        with pytest.raises(SchemaError, match="t=1.0"):
+            run(scenario, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_replay_without_truth_skips_metrics(self, tmp_path):
         scenario = synthetic_scenario()
@@ -382,6 +476,45 @@ class TestCli:
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [({"source": {"type": "synthetic"}, "durration": 20.0}, "durration"), ([], "JSON object")],
+    )
+    def test_malformed_config_exit_one(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["simulate", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_bad_replay_inputs_exit_one(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        frames, _ = generate(MobilityConfig(n_agents=3, seed=1), 10.0, 2.0)
+        write_trace(tmp_path / "coarse.csv", frames)
+        (tmp_path / "nan.csv").write_text(
+            "time,agent_id,x,y,shoulder_angle\n0.0,1,nan,0.0,0.0\n"
+        )
+        for trace in ("coarse.csv", "nan.csv"):
+            code = cli.main(
+                [
+                    "replay",
+                    "--config", str(config),
+                    "--trace", str(tmp_path / trace),
+                    "--out-dir", str(tmp_path / "out"),
+                ]
+            )
+            assert code == 1, trace
+        assert capsys.readouterr().err.count("config error") == 2
+
+    def test_non_finite_situation_time_exit_one(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("time,situation_id,member_ids\n0.0,0,1;2\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,situation_id,member_ids\ninf,0,1;2\n")
+        for truth, predicted in ((bad, good), (good, bad)):
+            code = cli.main(["metrics", "--truth", str(truth), "--predicted", str(predicted)])
+            assert code == 1
+        assert capsys.readouterr().err.count("line 2") == 2
+
     def test_seed_override(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
         cli.main(["simulate", "--config", str(config), "--seed", "99", "--out-dir", str(tmp_path / "o")])
@@ -543,6 +676,7 @@ class TestOfflineCompare:
             {
                 "ari_mean": 0.436626971480537,
                 "ari_std": 0.5256654957696061,
+                "fp_pairs_total": 70,
                 "jaccard_mean": 0.47362485998849635,
                 "jaccard_std": 0.4893130832947796,
                 "rand_mean": 0.7733175914994097,
@@ -556,6 +690,7 @@ class TestOfflineCompare:
             {
                 "ari_mean": -0.005012531328320803,
                 "ari_std": 0.015449659155310717,
+                "fp_pairs_total": 22,
                 "jaccard_mean": 0.0,
                 "jaccard_std": 0.0,
                 "rand_mean": 0.7473544973544973,
