@@ -462,6 +462,9 @@ def _load_source(scenario: Scenario) -> tuple[list[TraceFrame], Optional[GroundT
         step = float(np.median(np.diff([f.time for f in frames])))
         if abs(step - scenario.dt) > 1e-9:
             raise SchemaError(f"trace step {step!r} s differs from scenario dt {scenario.dt!r} s")
+    end = frames[-1].time
+    if scenario.duration > end + 1e-9:
+        raise SchemaError(f"duration {scenario.duration!r} s outlasts the trace end t={end!r}")
     return frames, truth
 
 

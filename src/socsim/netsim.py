@@ -14,7 +14,7 @@ from __future__ import annotations
 import gzip
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class NetConfig:
             raise ValueError("latency must be a non-negative integer number of steps")
 
 
-@dataclass(frozen=True)
-class QueuedDelivery:
+class QueuedDelivery(NamedTuple):
     deliver_step: int
     seq: int
     target: int

@@ -96,6 +96,7 @@ class ProtocolConfig:
 
 # One emission is (message, unicast target or None for broadcast).
 Emission = list[tuple[Message, Optional[int]]]
+Report = tuple[float, dict[tuple[int, int], Opinion]]
 
 
 def sorted_pair(i: int, j: int) -> tuple[int, int]:
@@ -141,10 +142,8 @@ class Agent:
     head_id: int = -1
     members: set[int] = field(default_factory=set)
     human_members: set[int] = field(default_factory=set)
-    # (lo, hi) pair -> reporting sender -> (opinion, stored_at)
-    opinion_store: dict[tuple[int, int], dict[int, tuple[Opinion, float]]] = field(
-        default_factory=dict
-    )
+    # sender -> its retained reports (stored_at, {(lo, hi): opinion}), oldest first
+    reports: dict[int, list[Report]] = field(default_factory=dict)
     pending_request: Optional[tuple[int, float]] = None
     denial_cache: dict[int, float] = field(default_factory=dict)
     observed_heads: dict[int, tuple[int, float]] = field(default_factory=dict)
@@ -213,13 +212,10 @@ class Agent:
         for nid, (_, dist, _) in self.neighbors.items():
             if dist <= self.config.social_distance:
                 in_range.add(nid)
-        opinions: list[tuple[int, int, Opinion]] = []
-        for pair in sorted(self.opinion_store):
-            entry = self.opinion_store[pair].get(self.id)
-            if entry is None:
-                continue
-            if pair[0] in in_range or pair[1] in in_range:
-                opinions.append((pair[0], pair[1], entry[0]))
+        own: dict[tuple[int, int], Opinion] = {}
+        for _, index in self.reports.get(self.id, ()):
+            own.update(index)
+        opinions = [(i, j, own[i, j]) for i, j in sorted(own) if i in in_range or j in in_range]
         if not opinions:
             if not keep_alive_fallback:
                 return []
@@ -236,15 +232,10 @@ class Agent:
         for agent in [a for a, (_, expiry) in self.observed_heads.items() if expiry <= now]:
             del self.observed_heads[agent]
         cutoff = now - cfg.opinion_ttl
-        empty_pairs = []
-        for pair, by_sender in self.opinion_store.items():
-            stale_senders = [s for s, (_, t) in by_sender.items() if t < cutoff]
-            for s in stale_senders:
-                del by_sender[s]
-            if not by_sender:
-                empty_pairs.append(pair)
-        for pair in empty_pairs:
-            del self.opinion_store[pair]
+        self.reports = {s: r for s, r in self.reports.items() if r[-1][0] >= cutoff}
+        for reports in self.reports.values():
+            while reports[0][0] < cutoff:
+                del reports[0]
         stale_nb = [n for n, (_, _, t) in self.neighbors.items() if now - t > cfg.period]
         for n in stale_nb:
             del self.neighbors[n]
@@ -270,25 +261,33 @@ class Agent:
         neighbors: Iterable[tuple[int, AgentKind, float]],
         now: float,
     ) -> None:
-        for i, j, op in opinions:
-            self._store_opinion(i, j, self.id, op, now)
+        self.store_report(self.id, opinions, now)
         for nid, kind, dist in neighbors:
             if nid != self.id:
                 self.neighbors[nid] = (kind, dist, now)
 
-    def _store_opinion(self, i: int, j: int, sender: int, op: Opinion, now: float) -> None:
-        if i == j:
-            return
-        pair = sorted_pair(i, j)
-        self.opinion_store.setdefault(pair, {})[sender] = (op, now)
+    def store_report(
+        self, sender: int, opinions: Iterable[tuple[int, int, Opinion]], now: float
+    ) -> None:
+        """Retain a report of ``sender`` by sorted pair; drop i == j, last duplicate wins."""
+        index = {(i, j) if i < j else (j, i): op for i, j, op in opinions if i != j}
+        if index:
+            reports = self.reports.setdefault(sender, [])
+            # an older report whose pairs the new one all repeats is never read again
+            while reports and reports[-1][1].keys() <= index.keys():
+                reports.pop()
+            reports.append((now, index))
 
     def _pair_view(self, pair: tuple[int, int]) -> Optional[Opinion]:
-        by_sender = self.opinion_store.get(pair)
-        if not by_sender:
-            return None
+        """Fuse each sender's newest retained opinion of ``pair``."""
         u_min = self.config.u_min
-        floored = [floor_uncertainty(op, u_min) for op, _ in by_sender.values()]
-        return fuse_averaging_multi(floored)
+        floored = []
+        for reports in self.reports.values():
+            for _, index in reversed(reports):
+                if pair in index:
+                    floored.append(floor_uncertainty(index[pair], u_min))
+                    break
+        return fuse_averaging_multi(floored) if floored else None
 
     def group_opinion(
         self, left: Iterable[int], right: Iterable[int], fill_missing: bool
@@ -487,8 +486,7 @@ class Agent:
     # broadcast processing
 
     def handle_member_msg(self, msg: MemberMsg, now: float) -> None:
-        for i, j, op in msg.opinions:
-            self._store_opinion(i, j, msg.sender, op, now)
+        self.store_report(msg.sender, msg.opinions, now)
         self.observed_heads[msg.sender] = (msg.head, now + self.config.head_knowledge_ttl)
         if self.role is Role.CLUSTER_HEAD and msg.sender in self.members:
             if msg.head == self.id:

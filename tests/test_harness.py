@@ -260,6 +260,17 @@ class TestRun:
             run(scenario, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_replay_must_cover_duration(self, tmp_path):
+        frames, _ = generate(MobilityConfig(n_agents=3, seed=1), 10.0, 0.5)
+        write_trace(tmp_path / "trace.csv", frames)
+        scenario = Scenario(source=ReplaySource(tmp_path / "trace.csv"), duration=60.0, dt=0.5)
+        with pytest.raises(SchemaError, match=r"duration 60\.0 s .* t=10\.0"):
+            run(scenario, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        # a trace that ends exactly at the duration replays in full
+        result = run(dataclasses.replace(scenario, duration=10.0))
+        assert result.partitions[-1][0] == 10.0
+
     def test_replay_without_truth_skips_metrics(self, tmp_path):
         scenario = synthetic_scenario()
         run(scenario, tmp_path / "syn")
@@ -504,6 +515,21 @@ class TestCli:
             )
             assert code == 1, trace
         assert capsys.readouterr().err.count("config error") == 2
+
+    def test_replay_shorter_than_duration_exit_one(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        frames, _ = generate(MobilityConfig(n_agents=3, seed=1), 5.0, 0.5)
+        write_trace(tmp_path / "short.csv", frames)
+        code = cli.main(
+            [
+                "replay",
+                "--config", str(config),
+                "--trace", str(tmp_path / "short.csv"),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert "outlasts the trace" in capsys.readouterr().err
 
     def test_non_finite_situation_time_exit_one(self, tmp_path, capsys):
         good = tmp_path / "good.csv"

@@ -3,9 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socsim.messages import HeadMsg, MemberMsg, RequestMsg, ResponseMsg
-from socsim.opinions import Opinion, decide, fuse_averaging_multi, vacuous
+from socsim.opinions import (
+    Opinion,
+    decide,
+    floor_uncertainty,
+    fuse_averaging_multi,
+    vacuous,
+)
 from socsim.protocol import (
     Agent,
     AgentKind,
@@ -16,6 +24,8 @@ from socsim.protocol import (
     fnv1a64,
     resolve_conflict,
 )
+
+from conftest import opinions
 
 STRONG = Opinion(0.9, 0.05, 0.05, 0.2)
 WEAK = Opinion(0.05, 0.9, 0.05, 0.2)
@@ -80,9 +90,10 @@ class TestTick:
         agent = make_agent(1, opinion_ttl=3.0)
         agent.apply_percept(((1, 2, STRONG),), ((2, AgentKind.HUMAN_LINKED, 1.0),), 0.0)
         agent.tick(2.0)
-        assert (1, 2) in agent.opinion_store
+        assert agent._pair_view((1, 2)) == STRONG
         agent.tick(4.0)
-        assert (1, 2) not in agent.opinion_store
+        assert agent._pair_view((1, 2)) is None
+        assert agent.reports == {}
 
     def test_head_emits_at_most_once_per_period(self):
         agent = make_agent(1)
@@ -212,7 +223,7 @@ class TestCheckForSocialSituation:
         strong = Opinion(0.9, 0.05, 0.05, 0.2)
         dissent = Opinion(0.2, 0.7, 0.1, 0.2)
         for m in (1, 2, 3, 4):
-            agent._store_opinion(m, 9, sender=m, op=strong if m != 4 else dissent, now=0.0)
+            agent.store_report(m, ((m, 9, strong if m != 4 else dissent),), 0.0)
         # direct n-ary fusion oracle over the same opinions
         fused = fuse_averaging_multi([strong, strong, strong, dissent])
         assert decide(fused, 0.5)
@@ -228,13 +239,13 @@ class TestCheckForSocialSituation:
         yes_votes = sum(decide(op, 0.5) for op in votes)
         assert yes_votes * 2 < len(votes)  # majority against
         for sender, op in enumerate(votes):
-            agent._store_opinion(1, 9, sender=sender + 10, op=op, now=0.0)
+            agent.store_report(sender + 10, ((1, 9, op),), 0.0)
         assert agent.check_for_social_situation(RequestMsg(9, frozenset({9})), 0.0)
 
     def test_singleton_equals_single_decide(self):
         agent = make_agent(5, accept_threshold=0.5)
         op = Opinion(0.55, 0.25, 0.2, 0.2)
-        agent._store_opinion(5, 9, sender=5, op=op, now=0.0)
+        agent.store_report(5, ((5, 9, op),), 0.0)
         assert agent.check_for_social_situation(
             RequestMsg(9, frozenset({9})), 0.0
         ) == decide(op, 0.5)
@@ -247,9 +258,9 @@ class TestCheckForSocialSituation:
         without_floor = make_agent(1, base_rate=0.5, u_min=0.0)
         with_floor = make_agent(1, base_rate=0.5, u_min=0.3)
         for agent in (without_floor, with_floor):
-            agent._store_opinion(1, 9, sender=11, op=dominant, now=0.0)
-            agent._store_opinion(1, 9, sender=12, op=dissent, now=0.0)
-            agent._store_opinion(1, 9, sender=13, op=dissent, now=0.0)
+            agent.store_report(11, ((1, 9, dominant),), 0.0)
+            agent.store_report(12, ((1, 9, dissent),), 0.0)
+            agent.store_report(13, ((1, 9, dissent),), 0.0)
         req = RequestMsg(9, frozenset({9}))
         assert without_floor.check_for_social_situation(req, 0.0)
         assert not with_floor.check_for_social_situation(req, 0.0)
@@ -266,8 +277,8 @@ class TestHandleResponse:
 
     def test_forward_with_feasible_merge_sets_next_candidate(self):
         agent = make_agent(5)
-        agent._store_opinion(5, 3, sender=5, op=STRONG, now=0.0)
-        agent._store_opinion(5, 9, sender=5, op=STRONG, now=0.0)
+        agent.store_report(5, ((5, 3, STRONG),), 0.0)
+        agent.store_report(5, ((5, 9, STRONG),), 0.0)
         agent.send_request(9, 0.0)
         agent.handle_response(
             ResponseMsg(9, False, forward_to=3, forward_members=frozenset({3, 9})), 0.1
@@ -319,7 +330,7 @@ class TestHandleMemberMsg:
     def test_provider_opinion_stored_but_never_member(self):
         agent = make_agent(5)
         agent.handle_member_msg(MemberMsg(100, 100, ((2, 3, STRONG),)), 0.0)
-        assert agent.opinion_store[(2, 3)][100][0] == STRONG
+        assert agent.reports[100] == [(0.0, {(2, 3): STRONG})]
         assert 100 not in agent.members
 
     def test_observed_heads_updated(self):
@@ -334,7 +345,7 @@ class TestRecomputeMembership:
         agent.members = {5, 7}
         agent.last_member_msgs[7] = 0.0
         agent.membership_since[7] = 0.0
-        agent._store_opinion(5, 7, sender=5, op=opinion, now=0.0)
+        agent.store_report(5, ((5, 7, opinion),), 0.0)
         return agent
 
     def test_fresh_positive_member_retained(self):
@@ -356,10 +367,10 @@ class TestRecomputeMembership:
         agent = make_agent(5, detach_extension=True)
         agent.members = {5, 7}
         agent.last_member_msgs[7] = 0.0
-        agent._store_opinion(5, 7, sender=5, op=STRONG, now=0.0)
+        agent.store_report(5, ((5, 7, STRONG),), 0.0)
         seed_neighbor(agent, 30, kind=AgentKind.HUMAN_WITHOUT_AGENT, opinion=None)
-        agent._store_opinion(5, 30, sender=5, op=STRONG, now=0.0)
-        agent._store_opinion(7, 30, sender=7, op=STRONG, now=0.0)
+        agent.store_report(5, ((5, 30, STRONG),), 0.0)
+        agent.store_report(7, ((7, 30, STRONG),), 0.0)
         agent.recompute_membership(0.5)
         assert agent.members == {5, 7}
         assert agent.human_members == {5, 7, 30}
@@ -566,7 +577,7 @@ class TestInvariants:
                 )
             agent.tick(now)
             sizes = (
-                len(agent.opinion_store),
+                sum(len(reports) for reports in agent.reports.values()),
                 len(agent.denial_cache),
                 len(agent.observed_heads),
                 len(agent.neighbors),
@@ -576,4 +587,127 @@ class TestInvariants:
                 target[k] = max(target[k], value)
         # no monotone growth: the late peak never exceeds the early one
         assert late_peak <= peak
-        assert peak[0] <= (12 + 1) ** 2 and peak[1] <= 24 and peak[2] <= 24 and peak[3] <= 24
+        # retained reports: at most ttl / period + 1 per distinct sender,
+        # the agent itself and member senders 3..9
+        senders = 1 + 7
+        cfg = agent.config
+        assert peak[0] <= senders * (cfg.opinion_ttl / cfg.period + 1)
+        assert peak[1] <= 24 and peak[2] <= 24 and peak[3] <= 24
+
+
+class PairIndexedAgent(Agent):
+    """Scalar reference for the opinion store: one entry per (pair, sender),
+    (lo, hi) -> sender -> (opinion, stored_at), overwritten on every
+    report and scanned entry by entry on eviction."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.by_pair: dict[tuple[int, int], dict[int, tuple[Opinion, float]]] = {}
+
+    def store_report(self, sender, opinions, now):
+        for i, j, op in opinions:
+            if i != j:
+                self.by_pair.setdefault((min(i, j), max(i, j)), {})[sender] = (op, now)
+
+    def _pair_view(self, pair):
+        by_sender = self.by_pair.get(pair)
+        if not by_sender:
+            return None
+        u_min = self.config.u_min
+        return fuse_averaging_multi([floor_uncertainty(op, u_min) for op, _ in by_sender.values()])
+
+    def _evict(self, now):
+        super()._evict(now)
+        cutoff = now - self.config.opinion_ttl
+        for pair, by_sender in list(self.by_pair.items()):
+            for sender in [s for s, (_, t) in by_sender.items() if t < cutoff]:
+                del by_sender[sender]
+            if not by_sender:
+                del self.by_pair[pair]
+
+    def _emit_member_msg(self, now, keep_alive_fallback):
+        in_range = {self.id}
+        for nid, (_, dist, _) in self.neighbors.items():
+            if dist <= self.config.social_distance:
+                in_range.add(nid)
+        out = []
+        for pair in sorted(self.by_pair):
+            entry = self.by_pair[pair].get(self.id)
+            if entry is not None and (pair[0] in in_range or pair[1] in in_range):
+                out.append((pair[0], pair[1], entry[0]))
+        if not out:
+            if not keep_alive_fallback:
+                return []
+            i, j = min(self.id, self.head_id), max(self.id, self.head_id)
+            out = [(i, j, vacuous(self.config.base_rate))]
+        return [(MemberMsg(self.id, self.head_id, tuple(out)), None)]
+
+
+STORE_IDS = range(5)
+# unsorted pairs, i == j and a pair repeated within one report all occur
+reports_st = st.lists(
+    st.tuples(st.sampled_from(STORE_IDS), st.sampled_from(STORE_IDS), opinions(base_rate=0.2)),
+    max_size=6,
+)
+# time advances in steps below, at and above the period and the TTLs;
+# reads between ticks see stores a later tick would evict
+gaps_st = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.5])
+actions_st = st.one_of(
+    st.tuples(st.just("tick"), gaps_st),
+    st.tuples(
+        st.just("percept"),
+        gaps_st,
+        reports_st,
+        st.lists(st.tuples(st.sampled_from(STORE_IDS), st.sampled_from([1.0, 20.0])), max_size=3),
+    ),
+    st.tuples(
+        st.just("member"),
+        gaps_st,
+        st.sampled_from([*STORE_IDS, 100]),
+        st.sampled_from(STORE_IDS),
+        reports_st,
+    ),
+    st.tuples(st.just("head"), gaps_st, st.sampled_from([0, 2, 3])),
+    st.tuples(st.just("request"), gaps_st, st.sampled_from([0, 2, 3])),
+)
+
+
+class TestSenderIndexedStore:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from([AgentKind.HUMAN_LINKED, AgentKind.OPINION_PROVIDER]),
+        u_min=st.sampled_from([0.0, 0.2, 0.6]),
+        opinion_ttl=st.sampled_from([0.5, 1.0, 3.0]),
+        actions=st.lists(actions_st, max_size=40),
+    )
+    def test_matches_pair_indexed_reference(self, kind, u_min, opinion_ttl, actions):
+        cfg = dict(u_min=u_min, opinion_ttl=opinion_ttl)
+        agent = Agent(id=1, config=ProtocolConfig(**cfg), kind=kind)
+        ref = PairIndexedAgent(id=1, config=ProtocolConfig(**cfg), kind=kind)
+        now = 0.0
+        for action in actions:
+            name, gap, *args = action
+            now += gap
+            outputs = []
+            for a in (agent, ref):
+                if name == "tick":
+                    outputs.append(a.tick(now))
+                elif name == "percept":
+                    report, near = args
+                    a.apply_percept(report, [(n, AgentKind.HUMAN_LINKED, d) for n, d in near], now)
+                elif name == "member":
+                    sender, head, report = args
+                    a.handle_member_msg(MemberMsg(sender, head, tuple(report)), now)
+                elif name == "head":
+                    (head,) = args
+                    listed = frozenset({head, 1})
+                    outputs.append(a.handle_head_msg(HeadMsg(head, listed, listed), head, now))
+                else:
+                    (head,) = args
+                    outputs.append(a.handle_request(RequestMsg(head, frozenset({head, 4})), now))
+            # repr is exact for floats and tells -0.0 from 0.0: bit for bit
+            if outputs:
+                assert repr(outputs[0]) == repr(outputs[1]), action
+            for lo in STORE_IDS:
+                for hi in STORE_IDS[lo + 1 :]:
+                    assert repr(agent._pair_view((lo, hi))) == repr(ref._pair_view((lo, hi)))
