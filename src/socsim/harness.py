@@ -25,6 +25,7 @@ from .metrics import Partition, scores, series_summary
 from .metrics import adjusted_rand_index, jaccard_index, pair_counts, rand_index  # noqa: F401
 from .mobility import GroundTruth, MobilityConfig, TraceFrame
 from .netsim import NetConfig, Network, warn_if_range_below_social
+from .opinions import BASE_RATE_TOL
 from .percept import PerceptConfig
 from .protocol import Agent, AgentKind, ProtocolConfig, Role
 
@@ -80,6 +81,8 @@ class Scenario:
             raise ValueError("sample_interval must be a multiple of the protocol period")
         if self.percept.observation_radius > self.net.comm_range:
             raise ValueError("observation_radius cannot exceed the communication range")
+        if abs(self.percept.base_rate - self.protocol.base_rate) > BASE_RATE_TOL:
+            raise ValueError("percept and protocol base rates differ")
 
 
 @dataclass
@@ -138,11 +141,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
             source = ReplaySource(trace, Path(truth) if truth else None)
         else:
             raise ValueError(f"unknown source type {src_raw['type']!r}")
+        protocol = ProtocolConfig(**raw.get("protocol", {}))
+        percept_raw = raw.get("percept", {})
+        if "base_rate" in percept_raw:
+            raise ValueError("percept.base_rate is not a setting; set protocol.base_rate")
         scenario = Scenario(
             source=source,
-            protocol=ProtocolConfig(**raw.get("protocol", {})),
+            protocol=protocol,
             net=NetConfig(**raw.get("net", {})),
-            percept=PerceptConfig(**raw.get("percept", {})),
+            percept=PerceptConfig(**percept_raw, base_rate=protocol.base_rate),
             duration=float(raw.get("duration", 60.0)),
             dt=float(raw.get("dt", 0.5)),
             sample_interval=raw.get("sample_interval"),
@@ -371,8 +378,7 @@ def run(scenario: Scenario, out_dir: Optional[Path] = None, fmt: str = "csv") ->
 
     seed_seq = np.random.SeedSequence(scenario.seed)
     net_seed, percept_seed = seed_seq.spawn(2)
-    net_cfg = replace(scenario.net, seed=int(net_seed.generate_state(1)[0]))
-    network = Network(net_cfg, period=scenario.protocol.period)
+    network = Network(scenario.net, seed=int(net_seed.generate_state(1)[0]))
     percept_rng = np.random.default_rng(percept_seed)
 
     provider_pos = {p[0]: (p[1], p[2]) for p in scenario.opinion_providers}
@@ -495,10 +501,9 @@ def extract_partition(
     ]
     claims: dict[int, list[int]] = {}
     for head in live_heads:
-        latest = network.latest_head_msgs.get(head)
-        if latest is None:
+        msg = network.latest_head_msgs.get(head)
+        if msg is None:
             continue
-        msg = latest[1]
         listed = msg.human_members if config.detach_extension else msg.agent_members
         for m in listed:
             if m == head or m not in universe or m in agents and agents[m].role is Role.CLUSTER_HEAD:

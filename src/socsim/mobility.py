@@ -111,8 +111,7 @@ def generate(config: MobilityConfig, duration: float, dt: float) -> tuple[list[T
     rng = np.random.default_rng(config.seed)
     n = config.n_agents
     w, h = config.area
-    walk_speed = max(config.speed_levels)
-    gather_speed = max(walk_speed, 0.5)
+    gather_speed = max(*config.speed_levels, 0.5)
     move_speed = sorted(config.speed_levels)[len(config.speed_levels) // 2] or gather_speed
 
     pos = rng.uniform((0.0, 0.0), (w, h), size=(n, 2)) if n else np.zeros((0, 2))
@@ -211,15 +210,7 @@ def generate(config: MobilityConfig, duration: float, dt: float) -> tuple[list[T
                         shoulder[m] = heading[m]
                     arrived = np.fromiter(sorted(grp.arrived), dtype=int) if grp.arrived else None
                     if arrived is not None and len(arrived) >= 2:
-                        pos[arrived] = _kernels.force_step(
-                            pos[arrived],
-                            grp.center,
-                            config.force_k_center,
-                            config.force_k_repel,
-                            0.01,
-                            walk_speed * dt,
-                            dt,
-                        )
+                        pos[arrived] = force_step(pos[arrived], grp.center, config, dt)
                     if len(grp.arrived) == len(grp.members):
                         grp.active = True
                 elif grp.moving:
@@ -232,15 +223,7 @@ def generate(config: MobilityConfig, duration: float, dt: float) -> tuple[list[T
                         pos[midx] += v * dt
                     shoulder[midx] = grp.heading
                 else:
-                    pos[midx] = _kernels.force_step(
-                        pos[midx],
-                        grp.center,
-                        config.force_k_center,
-                        config.force_k_repel,
-                        0.01,
-                        walk_speed * dt,
-                        dt,
-                    )
+                    pos[midx] = force_step(pos[midx], grp.center, config, dt)
                     to_center = grp.center[None, :] - pos[midx]
                     shoulder[midx] = np.arctan2(to_center[:, 1], to_center[:, 0]) + jitter[midx]
 

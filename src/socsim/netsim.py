@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import gzip
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .messages import HeadMsg, Message, encode_record
-from .protocol import Agent, AgentKind, Role
+from .protocol import Agent, AgentKind
 
 # A scheduler picks the index of the next ready delivery; the default is
 # FIFO in sequence order. Adversarial schedulers permute same-step
@@ -32,7 +33,6 @@ class NetConfig:
     comm_range: float = 25.0
     loss_probability: float = 0.0
     latency: int = 0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.comm_range <= 0:
@@ -44,8 +44,6 @@ class NetConfig:
 
 
 class QueuedDelivery(NamedTuple):
-    deliver_step: int
-    seq: int
     target: int
     message: Message
     sender: int
@@ -66,7 +64,6 @@ class LogEntry:
 
 @dataclass
 class DeliveryLog:
-    period: float
     entries: list[LogEntry] = field(default_factory=list)
     # step -> agent id -> number of agents within comm range
     neighbor_counts: dict[int, dict[int, int]] = field(default_factory=dict)
@@ -108,17 +105,16 @@ class Network:
     def __init__(
         self,
         config: NetConfig,
-        period: float,
+        seed: int = 0,
         scheduler: Optional[Scheduler] = None,
     ) -> None:
         self.config = config
-        self.period = period
         self.scheduler = scheduler
-        self.log = DeliveryLog(period=period)
-        self.latest_head_msgs: dict[int, tuple[int, HeadMsg]] = {}
-        self._rng = np.random.default_rng(config.seed)
-        self._queue: dict[int, list[QueuedDelivery]] = {}
-        self._seq = 0
+        self.log = DeliveryLog()
+        self.latest_head_msgs: dict[int, HeadMsg] = {}
+        self._rng = np.random.default_rng(seed)
+        # due step -> its deliveries in sequence order
+        self._queue: dict[int, deque[QueuedDelivery]] = {}
         self._step_no = -1
         # sender -> ascending ids of the other agents within comm range,
         # from the positions of the latest step
@@ -142,17 +138,11 @@ class Network:
         self._drain(now, agents)
         for aid in order:
             agent = agents[aid]
-            if (
-                agent.role is not Role.CLUSTER_HEAD
-                or agent.kind is not AgentKind.HUMAN_LINKED
-                or agent.pending_request is not None
-                or now < agent.next_request_time
-            ):
+            # opinion providers are heads with neighbours that never ask
+            if agent.kind is not AgentKind.HUMAN_LINKED:
                 continue
             candidate = agent.get_candidate(now)
-            if candidate is None:
-                agent.next_request_time = now + self.period
-            else:
+            if candidate is not None:
                 self._emit(now, aid, agent.send_request(candidate, now))
         self._drain(now, agents)
 
@@ -192,7 +182,7 @@ class Network:
         base_step = self._step_no if deliver_step is None else deliver_step
         for message, target in emissions:
             if isinstance(message, HeadMsg) and message.head == sender:
-                self.latest_head_msgs[sender] = (base_step, message)
+                self.latest_head_msgs[sender] = message
             in_range = self._receivers.get(sender)
             if in_range is None:
                 receivers = []
@@ -206,11 +196,8 @@ class Network:
                 kept = self._rng.random(len(receivers)) >= cfg.loss_probability
                 receivers = [r for r, keep in zip(receivers, kept.tolist()) if keep]
             if receivers:
-                due = base_step + cfg.latency
-                queue = self._queue.setdefault(due, [])
-                for receiver in receivers:
-                    self._seq += 1
-                    queue.append(QueuedDelivery(due, self._seq, receiver, message, sender))
+                queue = self._queue.setdefault(base_step + cfg.latency, deque())
+                queue.extend(QueuedDelivery(r, message, sender) for r in receivers)
             self.log.entries.append(
                 LogEntry(base_step, now, message, sender, target, tuple(receivers))
             )
@@ -221,10 +208,11 @@ class Network:
             if not ready:
                 return
             if self.scheduler is None:
-                idx = 0
+                delivery = ready.popleft()
             else:
                 idx = self.scheduler(now, tuple(ready))
-            delivery = ready.pop(idx)
+                delivery = ready[idx]
+                del ready[idx]
             if not ready:
                 del self._queue[self._step_no]
             agent = agents.get(delivery.target)

@@ -94,6 +94,8 @@ class PerceptConfig:
             raise ValueError(f"unknown percept model {self.model!r}")
         if self.model == "gmm" and self.gmm is None:
             raise ValueError("gmm model selected but no fitted model supplied")
+        if self.gmm is not None and not isinstance(self.gmm, GmmModel):
+            raise ValueError("gmm must be a fitted GmmModel; scenario files cannot carry one")
 
 
 def observe_period(

@@ -30,6 +30,9 @@ from .opinions import (
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _U64 = 1 << 64
+# slack for float times counted in periods: k * period + period may round
+# away from (k + 1) * period
+PERIOD_TOL = 1e-9
 
 
 class Role(enum.Enum):
@@ -153,7 +156,6 @@ class Agent:
     inconsistent_members: set[int] = field(default_factory=set)
     neighbors: dict[int, tuple[AgentKind, float, float]] = field(default_factory=dict)
     next_candidate: Optional[int] = None
-    next_request_time: float = 0.0
     last_head_emit: float = float("-inf")
     stale_responses: int = 0
 
@@ -190,11 +192,11 @@ class Agent:
         self._evict(now)
         if self.kind is AgentKind.OPINION_PROVIDER:
             return self._emit_member_msg(now, keep_alive_fallback=False)
-        if self.role is Role.MEMBER and now - self.last_ch_received > self.config.period:
+        if self.role is Role.MEMBER and self._lapsed(self.last_ch_received, now):
             self._become_singleton(now)
         if self.role is Role.CLUSTER_HEAD:
             self.recompute_membership(now)
-            if now - self.last_head_emit >= self.config.period - 1e-9:
+            if now - self.last_head_emit >= self.config.period - PERIOD_TOL:
                 self.last_head_emit = now
                 return [(self._head_msg(), None)]
             return []
@@ -236,11 +238,15 @@ class Agent:
         for reports in self.reports.values():
             while reports[0][0] < cutoff:
                 del reports[0]
-        stale_nb = [n for n, (_, _, t) in self.neighbors.items() if now - t > cfg.period]
-        for n in stale_nb:
+        limit = cfg.period + PERIOD_TOL
+        for n in [n for n, (_, _, t) in self.neighbors.items() if now - t > limit]:
             del self.neighbors[n]
-        if self.pending_request is not None and now - self.pending_request[1] > cfg.period:
+        if self.pending_request is not None and self._lapsed(self.pending_request[1], now):
             self.pending_request = None
+
+    def _lapsed(self, since: float, now: float) -> bool:
+        """Whether more than one period has passed from ``since`` to ``now``."""
+        return now - since > self.config.period + PERIOD_TOL
 
     def _become_singleton(self, now: float) -> None:
         self.role = Role.CLUSTER_HEAD
@@ -327,7 +333,7 @@ class Agent:
             if m == self.id or m in self.inconsistent_members:
                 continue
             seen = self.last_member_msgs.get(m)
-            if seen is None or now - seen > cfg.period:
+            if seen is None or self._lapsed(seen, now):
                 continue
             group = self.group_opinion([m], keep_others(self.members, m), fill_missing=True)
             if group is not None and decide(group, cfg.accept_threshold):

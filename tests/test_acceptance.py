@@ -167,7 +167,7 @@ def _mutual_request_run(scheduler):
     agents = {1: Agent(id=1, config=cfg), 2: Agent(id=2, config=cfg)}
     positions = {1: (0.0, 0.0), 2: (1.0, 0.0)}
     strong = Opinion(0.9, 0.05, 0.05, cfg.base_rate)
-    net = Network(NetConfig(), period=cfg.period, scheduler=scheduler)
+    net = Network(NetConfig(), scheduler=scheduler)
     for k in range(3):
         now = float(k)
         for aid, agent in sorted(agents.items()):

@@ -27,7 +27,9 @@ from socsim.harness import (
     write_ground_truth,
     write_trace,
 )
+from socsim.messages import MemberMsg, decode_record
 from socsim.mobility import MobilityConfig, generate
+from socsim.percept import PerceptConfig
 
 
 def synthetic_scenario(**overrides) -> Scenario:
@@ -60,6 +62,10 @@ class TestScenarioConfig:
         assert scenario.protocol.period == 2.0
         assert scenario.source.mobility.n_agents == 4
         assert scenario.net.comm_range == 30.0
+
+    def test_differing_base_rates_rejected(self):
+        with pytest.raises(ValueError, match="base rates"):
+            synthetic_scenario(percept=PerceptConfig(base_rate=0.5))
 
     def test_bad_source_rejected(self):
         with pytest.raises(SchemaError):
@@ -398,7 +404,7 @@ class TestRun:
         live_heads = [a for a, (r, _) in last_roles.items() if r is Role.CLUSTER_HEAD]
         claimed: set[int] = set()
         for head in live_heads:
-            _, msg = result.network.latest_head_msgs[head]
+            msg = result.network.latest_head_msgs[head]
             assert not (claimed & set(msg.agent_members))
             claimed |= set(msg.agent_members)
 
@@ -496,6 +502,36 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert cli.main(["simulate", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"net": {"seed": 99}}, "seed"),
+            ({"percept": {"base_rate": 0.5}}, "protocol.base_rate"),
+            ({"percept": {"model": "gmm", "gmm": {"class_priors": [0.5, 0.5]}}}, "GmmModel"),
+        ],
+    )
+    def test_unusable_setting_exit_one(self, tmp_path, capsys, section, message):
+        config = json.loads(self.write_config(tmp_path).read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**config, **section}))
+        assert cli.main(["simulate", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_protocol_base_rate_reaches_percept(self, tmp_path):
+        quick = json.loads(
+            (Path(__file__).parent.parent / "scenarios" / "quick.json").read_text()
+        )
+        path = tmp_path / "quick.json"
+        path.write_text(json.dumps({**quick, "protocol": {"base_rate": 0.5}}))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+        rates = set()
+        for line in (out / "messages.log").read_text().splitlines():
+            _, msg, _, _ = decode_record(line)
+            if isinstance(msg, MemberMsg):
+                rates.update(op.base_rate for _, _, op in msg.opinions)
+        assert rates == {0.5}
 
     def test_bad_replay_inputs_exit_one(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

@@ -37,7 +37,7 @@ def feed_mutual_percept(agents, positions, now, radius=10.0):
 class TestDelivery:
     def test_in_range_broadcast_delivered(self):
         _, agents, positions = make_world([1, 2], {1: (0.0, 0.0), 2: (5.0, 0.0)})
-        net = Network(NetConfig(comm_range=25.0), period=1.0)
+        net = Network(NetConfig(comm_range=25.0))
         net.step(0.0, positions, agents)
         head_entries = [e for e in net.log.entries if isinstance(e.message, HeadMsg)]
         assert head_entries
@@ -45,14 +45,14 @@ class TestDelivery:
 
     def test_out_of_range_never_delivered(self):
         _, agents, positions = make_world([1, 2], {1: (0.0, 0.0), 2: (30.0, 0.0)})
-        net = Network(NetConfig(comm_range=25.0), period=1.0)
+        net = Network(NetConfig(comm_range=25.0))
         for k in range(3):
             net.step(float(k), positions, agents)
         assert all(e.delivered_to == () for e in net.log.entries)
 
     def test_latency_delays_delivery(self):
         _, agents, positions = make_world([1, 2], {1: (0.0, 0.0), 2: (5.0, 0.0)})
-        net = Network(NetConfig(latency=1), period=1.0)
+        net = Network(NetConfig(latency=1))
         feed_mutual_percept(agents, positions, 0.0)
         net.step(0.0, positions, agents)
         # requests are sent but the responses only arrive a step later
@@ -65,7 +65,7 @@ class TestDelivery:
 
     def test_removed_agent_drops_pending_messages(self):
         _, agents, positions = make_world([1, 2], {1: (0.0, 0.0), 2: (5.0, 0.0)})
-        net = Network(NetConfig(latency=2), period=1.0)
+        net = Network(NetConfig(latency=2))
         net.step(0.0, positions, agents)
         del agents[2]
         positions.pop(2)
@@ -73,12 +73,24 @@ class TestDelivery:
         net.step(2.0, positions, agents)  # queued deliveries to 2 are skipped
 
 
+class TestRequestRounds:
+    def test_lone_head_asks_once_every_short_period(self):
+        # k * 0.1 + 0.1 rounds above (k + 1) * 0.1 for some k; no period is skipped
+        _, agents, positions = make_world([1], {1: (0.0, 0.0)}, period=0.1)
+        rounds = []
+        agents[1].get_candidate = rounds.append
+        net = Network(NetConfig())
+        for k in range(101):
+            net.step(k * 0.1, positions, agents)
+        assert len(rounds) == 101
+
+
 class TestDeterminism:
     def run_lossy(self, seed):
         _, agents, positions = make_world(
             [1, 2, 3], {1: (0.0, 0.0), 2: (4.0, 0.0), 3: (0.0, 4.0)}
         )
-        net = Network(NetConfig(loss_probability=0.5, seed=seed), period=1.0)
+        net = Network(NetConfig(loss_probability=0.5), seed=seed)
         for k in range(10):
             feed_mutual_percept(agents, positions, float(k))
             net.step(float(k), positions, agents)
@@ -94,7 +106,7 @@ class TestDeterminism:
 class TestMessageBound:
     def test_isolated_agent_meets_unit_bound(self):
         _, agents, positions = make_world([1], {1: (0.0, 0.0)})
-        net = Network(NetConfig(), period=1.0)
+        net = Network(NetConfig())
         for k in range(6):
             net.step(float(k), positions, agents)
         report = audit_message_bound(net.log, window=6)
@@ -103,12 +115,12 @@ class TestMessageBound:
         assert len(emitted) == 6  # one head message per cycle, bound (2*0+1)*6
 
     def test_empty_log_empty_report(self):
-        report = audit_message_bound(DeliveryLog(period=1.0), window=4)
+        report = audit_message_bound(DeliveryLog(), window=4)
         assert report == BoundReport(windows_checked=0, violations=())
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
-            audit_message_bound(DeliveryLog(period=1.0), window=0)
+            audit_message_bound(DeliveryLog(), window=0)
 
     def test_random_scenarios_within_bound(self):
         rng = np.random.default_rng(13)
@@ -116,7 +128,7 @@ class TestMessageBound:
             n = int(rng.integers(2, 9))
             coords = {i: (float(rng.uniform(0, 30)), float(rng.uniform(0, 30))) for i in range(n)}
             _, agents, positions = make_world(list(range(n)), coords)
-            net = Network(NetConfig(seed=trial), period=1.0)
+            net = Network(NetConfig(), seed=trial)
             for k in range(30):
                 feed_mutual_percept(agents, positions, float(k))
                 net.step(float(k), positions, agents)
@@ -132,7 +144,7 @@ class TestScheduler:
             _, agents, positions = make_world(
                 [1, 2], {1: (0.0, 0.0), 2: (5.0, 0.0)}
             )
-            net = Network(NetConfig(), period=1.0, scheduler=scheduler)
+            net = Network(NetConfig(), scheduler=scheduler)
             feed_mutual_percept(agents, positions, 0.0)
             net.step(0.0, positions, agents)
             logs.append([e.wire_line() for e in net.log.entries])

@@ -102,6 +102,48 @@ class TestTick:
         assert agent.tick(1.0)
 
 
+class TestShortPeriodTimeouts:
+    """At period 0.1, k * 0.1 + 0.1 can round above (k + 1) * 0.1; every
+    one-period timeout must still allow exactly one period."""
+
+    STEPS = range(1, 100)
+
+    def test_pending_request_lasts_one_period(self):
+        for k in self.STEPS:
+            agent = make_agent(1, period=0.1)
+            agent.send_request(2, k * 0.1)
+            agent.tick((k + 1) * 0.1)
+            assert agent.pending_request == (2, k * 0.1), k
+            agent.tick((k + 2) * 0.1)
+            assert agent.pending_request is None, k
+
+    def test_member_keeps_head_for_one_period(self):
+        for k in self.STEPS:
+            agent = make_agent(2, period=0.1)
+            agent.role = Role.MEMBER
+            agent.head_id = 9
+            agent.members = {2, 9}
+            agent.last_ch_received = k * 0.1
+            agent.tick((k + 1) * 0.1)
+            assert agent.role is Role.MEMBER, k
+
+    def test_neighbor_kept_for_one_period(self):
+        for k in self.STEPS:
+            agent = make_agent(1, period=0.1)
+            seed_neighbor(agent, 2, now=k * 0.1)
+            agent.tick((k + 1) * 0.1)
+            assert 2 in agent.neighbors, k
+
+    def test_keep_alive_fresh_for_one_period(self):
+        for k in self.STEPS:
+            agent = make_agent(5, period=0.1)
+            agent.members = {5, 7}
+            agent.last_member_msgs[7] = k * 0.1
+            agent.store_report(5, ((5, 7, STRONG),), k * 0.1)
+            agent.recompute_membership((k + 1) * 0.1)
+            assert agent.members == {5, 7}, k
+
+
 class TestGetCandidate:
     def test_no_neighbors_no_candidate(self):
         agent = make_agent(1)
