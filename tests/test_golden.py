@@ -73,6 +73,17 @@ CASES = {
     "direct_to_head": lambda: _quick(protocol=ProtocolConfig(direct_to_head_routing=True)),
     "opinion_providers": lambda: _quick(opinion_providers=((100, 25.0, 25.0), (101, 10.0, 30.0))),
     "gmm_percept": _gmm_scenario,
+    # a period that float arithmetic does not represent exactly
+    "short_period_handover": lambda: Scenario(
+        source=SyntheticSource(MobilityConfig(n_agents=12, seed=8, group_formation_rate=0.2)),
+        protocol=ProtocolConfig(period=0.1, stable_handover=True),
+        net=NetConfig(loss_probability=0.2),
+        duration=40.0,
+        dt=0.05,
+        sample_interval=1.0,
+        seed=5,
+        removals=((29.0, 1),),
+    ),
 }
 
 

@@ -1,9 +1,11 @@
 """Network simulator tests: range, loss, determinism, message bound."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from socsim.messages import HeadMsg
+from socsim.messages import HeadMsg, message_type
 from socsim.netsim import BoundReport, DeliveryLog, NetConfig, Network, audit_message_bound
 from socsim.opinions import Opinion
 from socsim.protocol import Agent, AgentKind, ProtocolConfig, Role
@@ -152,6 +154,26 @@ class TestScheduler:
             assert len(heads) == 1
             assert heads[0].members == {1, 2}
         assert logs[0] != logs[1]
+
+    def test_scheduler_view_pinned(self):
+        # every ready tuple a scheduler sees, as (target, tag, sender) rows,
+        # under loss, latency and an injected handover
+        views = []
+
+        def last(now, ready):
+            views.append(repr([(d.target, message_type(d.message), d.sender) for d in ready]))
+            return len(ready) - 1
+
+        _, agents, positions = make_world(range(5), {i: (3.0 * i, 0.0) for i in range(5)})
+        net = Network(NetConfig(loss_probability=0.3, latency=1), seed=3, scheduler=last)
+        for k in range(6):
+            feed_mutual_percept(agents, positions, float(k))
+            net.step(float(k), positions, agents)
+            if k == 2:
+                net.inject(float(k), 1, [(HeadMsg(3, frozenset({1, 3}), frozenset({1, 3})), None)])
+        digest = hashlib.sha256("\n".join(views).encode()).hexdigest()
+        assert len(views) == 86
+        assert digest == "0537372a7fc63a2574113d92aae72322557d9f6bef78788745f5b901f195d9ec"
 
 
 class TestRangeWarning:
