@@ -196,7 +196,7 @@ class Agent:
             self._become_singleton(now)
         if self.role is Role.CLUSTER_HEAD:
             self.recompute_membership(now)
-            if now - self.last_head_emit >= self.config.period - PERIOD_TOL:
+            if not self._beyond(self.config.period, now - self.last_head_emit):
                 self.last_head_emit = now
                 return [(self._head_msg(), None)]
             return []
@@ -228,25 +228,29 @@ class Agent:
         return [(MemberMsg(self.id, self.head_id, tuple(opinions)), None)]
 
     def _evict(self, now: float) -> None:
-        cfg = self.config
-        for agent in [a for a, expiry in self.denial_cache.items() if expiry <= now]:
+        beyond, period, ttl = self._beyond, self.config.period, self.config.opinion_ttl
+        for agent in [a for a, expiry in self.denial_cache.items() if not beyond(expiry, now)]:
             del self.denial_cache[agent]
-        for agent in [a for a, (_, expiry) in self.observed_heads.items() if expiry <= now]:
+        for agent in [a for a, (_, exp) in self.observed_heads.items() if not beyond(exp, now)]:
             del self.observed_heads[agent]
-        cutoff = now - cfg.opinion_ttl
-        self.reports = {s: r for s, r in self.reports.items() if r[-1][0] >= cutoff}
+        self.reports = {s: r for s, r in self.reports.items() if not beyond(now - r[-1][0], ttl)}
         for reports in self.reports.values():
-            while reports[0][0] < cutoff:
+            while beyond(now - reports[0][0], ttl):
                 del reports[0]
-        limit = cfg.period + PERIOD_TOL
-        for n in [n for n, (_, _, t) in self.neighbors.items() if now - t > limit]:
+        for n in [n for n, (_, _, t) in self.neighbors.items() if beyond(now - t, period)]:
             del self.neighbors[n]
         if self.pending_request is not None and self._lapsed(self.pending_request[1], now):
             self.pending_request = None
 
     def _lapsed(self, since: float, now: float) -> bool:
         """Whether more than one period has passed from ``since`` to ``now``."""
-        return now - since > self.config.period + PERIOD_TOL
+        return self._beyond(now - since, self.config.period)
+
+    @staticmethod
+    def _beyond(value: float, limit: float) -> bool:
+        """Whether ``value`` exceeds ``limit`` by more than float rounding:
+        every protocol time comparison goes through here."""
+        return value > limit + PERIOD_TOL
 
     def _become_singleton(self, now: float) -> None:
         self.role = Role.CLUSTER_HEAD
@@ -391,7 +395,7 @@ class Agent:
             return None
         if cfg.direct_to_head_routing:
             known = self.observed_heads.get(best)
-            if known is not None and known[1] > now and known[0] != best:
+            if known is not None and self._beyond(known[1], now) and known[0] != best:
                 head = known[0]
                 if head != self.id and head not in self.members and not self._denied(head, now):
                     return head
@@ -399,7 +403,7 @@ class Agent:
 
     def _denied(self, agent: int, now: float) -> bool:
         expiry = self.denial_cache.get(agent)
-        return expiry is not None and expiry > now
+        return expiry is not None and self._beyond(expiry, now)
 
     def send_request(self, target: int, now: float) -> Emission:
         if self.pending_request is not None:

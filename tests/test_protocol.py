@@ -17,6 +17,7 @@ from socsim.opinions import (
 from socsim.protocol import (
     Agent,
     AgentKind,
+    PERIOD_TOL,
     BusyPendingError,
     NoMembersError,
     ProtocolConfig,
@@ -142,6 +143,57 @@ class TestShortPeriodTimeouts:
             agent.store_report(5, ((5, 7, STRONG),), k * 0.1)
             agent.recompute_membership((k + 1) * 0.1)
             assert agent.members == {5, 7}, k
+
+
+class TestShortPeriodTtls:
+    """At period 0.1 the default TTLs last exactly 10 (denial), 5 (head
+    knowledge) and 3 (opinion) periods from every start time k * 0.1."""
+
+    STEPS = range(1, 100)
+
+    @staticmethod
+    def first_gone(agent, k, held):
+        """Periods after k until the first tick after which ``held`` fails."""
+        for j in range(1, 20):
+            now = (k + j) * 0.1
+            agent.tick(now)
+            if not held(now):
+                return j
+        return None
+
+    def test_denial_lasts_ten_periods(self):
+        for k in self.STEPS:
+            agent = make_agent(1, period=0.1)
+            agent.send_request(9, k * 0.1)
+            agent.handle_response(ResponseMsg(9, False), k * 0.1)
+
+            def held(now):
+                assert agent._denied(9, now) == (9 in agent.denial_cache)
+                return 9 in agent.denial_cache
+
+            assert self.first_gone(agent, k, held) == 10, k
+
+    def test_head_knowledge_lasts_five_periods(self):
+        for k in self.STEPS:
+            agent = make_agent(1, period=0.1)
+            listed = frozenset({7, 8})
+            agent.handle_head_msg(HeadMsg(7, listed, listed), 7, k * 0.1)
+
+            def held(now):
+                return 7 in agent.observed_heads and 8 in agent.observed_heads
+
+            assert self.first_gone(agent, k, held) == 5, k
+
+    def test_opinion_read_for_three_periods(self):
+        for k in self.STEPS:
+            agent = make_agent(1, period=0.1)
+            agent.store_report(2, ((2, 3, STRONG),), k * 0.1)
+
+            def held(now):
+                return agent._pair_view((2, 3)) == STRONG
+
+            # still read three periods after it was stored, gone at four
+            assert self.first_gone(agent, k, held) == 4, k
 
 
 class TestGetCandidate:
@@ -660,9 +712,9 @@ class PairIndexedAgent(Agent):
 
     def _evict(self, now):
         super()._evict(now)
-        cutoff = now - self.config.opinion_ttl
+        limit = self.config.opinion_ttl + PERIOD_TOL
         for pair, by_sender in list(self.by_pair.items()):
-            for sender in [s for s, (_, t) in by_sender.items() if t < cutoff]:
+            for sender in [s for s, (_, t) in by_sender.items() if now - t > limit]:
                 del by_sender[sender]
             if not by_sender:
                 del self.by_pair[pair]
