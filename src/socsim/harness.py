@@ -10,6 +10,7 @@ with derived seeds. Everything is deterministic per (scenario, seed).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -345,7 +346,19 @@ def _write_situations(
 
 def run(scenario: Scenario, out_dir: Optional[Path] = None, fmt: str = "csv") -> RunResult:
     """Execute one scenario end to end; optionally write result files,
-    with the metrics table as ``fmt`` ("csv" or "jsonl")."""
+    with the metrics table as ``fmt`` ("csv" or "jsonl"). The cyclic garbage
+    collector is suspended for the run, which forms no reference cycles, and
+    the caller's setting restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(scenario, out_dir, fmt)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
     frames, truth = _load_source(scenario)
     warn_if_range_below_social(scenario.net, scenario.protocol.social_distance)
 

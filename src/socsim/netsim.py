@@ -15,6 +15,7 @@ import gzip
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -22,9 +23,9 @@ import numpy as np
 from .messages import HeadMsg, Message, encode_record
 from .protocol import Agent, AgentKind
 
-# A scheduler picks the index of the next ready delivery; the default is
-# FIFO in sequence order. Adversarial schedulers permute same-step
-# deliveries to explore protocol interleavings.
+# A scheduler picks the index of the next ready delivery, one per receiver of
+# a queued emission; the default is FIFO in sequence order. Adversarial
+# schedulers permute same-step deliveries to explore protocol interleavings.
 Scheduler = Callable[[float, Sequence["QueuedDelivery"]], int]
 
 
@@ -113,12 +114,13 @@ class Network:
         self.log = DeliveryLog()
         self.latest_head_msgs: dict[int, HeadMsg] = {}
         self._rng = np.random.default_rng(seed)
-        # due step -> its deliveries in sequence order
-        self._queue: dict[int, deque[QueuedDelivery]] = {}
+        # due step -> its emissions in sequence order, each
+        # (message, sender, receivers) with the receivers in delivery order
+        self._queue: dict[int, deque[tuple[Message, int, tuple[int, ...]]]] = {}
         self._step_no = -1
         # sender -> ascending ids of the other agents within comm range,
         # from the positions of the latest step
-        self._receivers: dict[int, list[int]] = {}
+        self._receivers: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
 
@@ -169,7 +171,7 @@ class Network:
         receivers = np.asarray(ids, dtype=np.int64)[np.nonzero(within)[1]].tolist()
         ends = np.cumsum(within.sum(axis=1)).tolist()
         self._receivers = {
-            aid: receivers[start:end] for aid, start, end in zip(ids, [0] + ends, ends)
+            aid: tuple(receivers[start:end]) for aid, start, end in zip(ids, [0] + ends, ends)
         }
         live = np.array([aid in agents for aid in ids], dtype=bool)
         counts = (within & live).sum(axis=1).tolist()
@@ -185,42 +187,45 @@ class Network:
                 self.latest_head_msgs[sender] = message
             in_range = self._receivers.get(sender)
             if in_range is None:
-                receivers = []
+                receivers = ()
             elif target is None:
                 receivers = in_range
             else:
                 # a unicast to oneself covers zero distance
-                receivers = [target] if target == sender or target in in_range else []
+                receivers = (target,) if target == sender or target in in_range else ()
             if cfg.loss_probability > 0.0 and receivers:
                 # one uniform per receiver in range, in receiver order
                 kept = self._rng.random(len(receivers)) >= cfg.loss_probability
-                receivers = [r for r, keep in zip(receivers, kept.tolist()) if keep]
+                receivers = tuple(compress(receivers, kept.tolist()))
             if receivers:
                 queue = self._queue.setdefault(base_step + cfg.latency, deque())
-                queue.extend(QueuedDelivery(r, message, sender) for r in receivers)
-            self.log.entries.append(
-                LogEntry(base_step, now, message, sender, target, tuple(receivers))
-            )
+                queue.append((message, sender, receivers))
+            self.log.entries.append(LogEntry(base_step, now, message, sender, target, receivers))
 
     def _drain(self, now: float, agents: dict[int, Agent]) -> None:
+        # FIFO walks each emission's receivers in order; what handlers emit
+        # meanwhile queues behind them
         while True:
             ready = self._queue.get(self._step_no)
             if not ready:
+                self._queue.pop(self._step_no, None)
                 return
             if self.scheduler is None:
-                delivery = ready.popleft()
+                message, sender, receivers = ready.popleft()
             else:
-                idx = self.scheduler(now, tuple(ready))
-                delivery = ready[idx]
-                del ready[idx]
-            if not ready:
-                del self._queue[self._step_no]
-            agent = agents.get(delivery.target)
-            if agent is None:
-                continue
-            out = agent.handle_message(delivery.message, delivery.sender, now)
-            if out:
-                self._emit(now, delivery.target, out)
+                # the scheduler picks one delivery per receiver; the rest stay queued one by one
+                view = tuple(QueuedDelivery(r, m, s) for m, s, rs in ready for r in rs)
+                target, message, sender = picked = view[self.scheduler(now, view)]
+                ready.clear()
+                ready.extend((d.message, d.sender, (d.target,)) for d in view if d is not picked)
+                receivers = (target,)
+            for target in receivers:
+                agent = agents.get(target)
+                if agent is None:
+                    continue
+                out = agent.handle_message(message, sender, now)
+                if out:
+                    self._emit(now, target, out)
 
 
 def audit_message_bound(log: DeliveryLog, window: int) -> BoundReport:

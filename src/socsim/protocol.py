@@ -101,6 +101,10 @@ class ProtocolConfig:
 Emission = list[tuple[Message, Optional[int]]]
 Report = tuple[float, dict[tuple[int, int], Opinion]]
 
+# the last opinions tuple stored, which every receiver of a broadcast stores
+# in turn, and its pair index; holding the tuple keeps its id from reuse
+_last_index: tuple[tuple, dict[tuple[int, int], Opinion]] = ((), {})
+
 
 def sorted_pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
@@ -279,8 +283,14 @@ class Agent:
     def store_report(
         self, sender: int, opinions: Iterable[tuple[int, int, Opinion]], now: float
     ) -> None:
-        """Retain a report of ``sender`` by sorted pair; drop i == j, last duplicate wins."""
-        index = {(i, j) if i < j else (j, i): op for i, j, op in opinions if i != j}
+        """Retain a report of ``sender`` by sorted pair; drop i == j, last duplicate
+        wins. Back-to-back stores of one tuple share its index read-only."""
+        global _last_index
+        key, index = _last_index
+        if opinions is not key:
+            index = {(i, j) if i < j else (j, i): op for i, j, op in opinions if i != j}
+            if type(opinions) is tuple:
+                _last_index = (opinions, index)
         if index:
             reports = self.reports.setdefault(sender, [])
             # an older report whose pairs the new one all repeats is never read again

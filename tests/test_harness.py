@@ -1,6 +1,7 @@
 """Harness tests: config parsing, ingestion, pipeline runs, CLI surface."""
 
 import dataclasses
+import gc
 import json
 import math
 from pathlib import Path
@@ -407,6 +408,61 @@ class TestRun:
             msg = result.network.latest_head_msgs[head]
             assert not (claimed & set(msg.agent_members))
             claimed |= set(msg.agent_members)
+
+
+class TestCollectorScope:
+    """``run`` suspends the cyclic garbage collector and restores the
+    caller's setting, which is safe only while a run forms no cycles."""
+
+    @staticmethod
+    def short_replay(tmp_path) -> Scenario:
+        frames, _ = generate(MobilityConfig(n_agents=3, seed=1), 10.0, 0.5)
+        write_trace(tmp_path / "trace.csv", frames)
+        return Scenario(source=ReplaySource(tmp_path / "trace.csv"), duration=60.0, dt=0.5)
+
+    def test_suspended_during_run_and_restored(self, tmp_path, monkeypatch):
+        import socsim.harness as harness
+
+        during = []
+        extract = harness.extract_partition
+
+        def recording(*args):
+            during.append(gc.isenabled())
+            return extract(*args)
+
+        monkeypatch.setattr(harness, "extract_partition", recording)
+        assert gc.isenabled()
+        run(synthetic_scenario(duration=5.0), tmp_path / "out")
+        assert during and not any(during)
+        assert gc.isenabled()
+        with pytest.raises(SchemaError):
+            run(self.short_replay(tmp_path), tmp_path / "short")
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, tmp_path):
+        gc.disable()
+        try:
+            run(synthetic_scenario(duration=5.0), tmp_path / "out")
+            assert not gc.isenabled()
+            with pytest.raises(SchemaError):
+                run(self.short_replay(tmp_path), tmp_path / "short")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_cyclic_garbage_does_not_grow_with_duration(self, tmp_path):
+        quick = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "quick.json")
+
+        def garbage(duration):
+            gc.collect()
+            gc.disable()
+            try:
+                run(dataclasses.replace(quick, duration=duration), tmp_path / str(duration))
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        assert garbage(30.0) == garbage(60.0)
 
 
 class TestSweep:
