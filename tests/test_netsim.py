@@ -175,6 +175,28 @@ class TestScheduler:
         assert len(views) == 86
         assert digest == "0537372a7fc63a2574113d92aae72322557d9f6bef78788745f5b901f195d9ec"
 
+    def test_fifo_matches_a_scheduler_that_picks_the_first(self):
+        # the default walks each emission's receivers in order, exactly as a
+        # scheduler taking index 0 of the per-receiver view does
+        def run(scheduler):
+            handled = []
+            _, agents, positions = make_world(range(5), {i: (3.0 * i, 0.0) for i in range(5)})
+            for agent in agents.values():
+                def recording(msg, sender, now, agent=agent, handle=agent.handle_message):
+                    handled.append((agent.id, message_type(msg), sender))
+                    return handle(msg, sender, now)
+
+                agent.handle_message = recording
+            net = Network(NetConfig(loss_probability=0.3), seed=3, scheduler=scheduler)
+            for k in range(6):
+                feed_mutual_percept(agents, positions, float(k))
+                net.step(float(k), positions, agents)
+            return handled, [e.wire_line() for e in net.log.entries]
+
+        fifo = run(None)
+        assert fifo == run(lambda now, ready: 0)
+        assert len(fifo[0]) > 50
+
 
 class TestRangeWarning:
     def test_warns_when_comm_range_below_social(self):

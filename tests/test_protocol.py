@@ -166,6 +166,7 @@ class TestShortPeriodTtls:
             agent = make_agent(1, period=0.1)
             agent.send_request(9, k * 0.1)
             agent.handle_response(ResponseMsg(9, False), k * 0.1)
+            assert agent._denied(9, (k + 9) * 0.1) and not agent._denied(9, (k + 10) * 0.1), k
 
             def held(now):
                 assert agent._denied(9, now) == (9 in agent.denial_cache)
@@ -805,3 +806,41 @@ class TestSenderIndexedStore:
             for lo in STORE_IDS:
                 for hi in STORE_IDS[lo + 1 :]:
                     assert repr(agent._pair_view((lo, hi))) == repr(ref._pair_view((lo, hi)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        broadcasts=st.lists(
+            st.tuples(
+                st.sampled_from(STORE_IDS),
+                reports_st,
+                st.lists(st.sampled_from(range(3)), min_size=1, max_size=4),
+            ),
+            max_size=10,
+        )
+    )
+    def test_shared_index_matches_fresh_index(self, broadcasts):
+        # each broadcast's receivers store one tuple back to back, sharing its
+        # index; the same reports as a list build a fresh index every time
+        shared = [make_agent(r) for r in range(3)]
+        fresh = [make_agent(r) for r in range(3)]
+        for t, (sender, report, receivers) in enumerate(broadcasts):
+            opinions = tuple(report)
+            for r in receivers:
+                shared[r].store_report(sender, opinions, float(t))
+                fresh[r].store_report(sender, list(opinions), float(t))
+        for a, b in zip(shared, fresh):
+            assert a.reports == b.reports
+
+    def test_only_a_tuple_shares_its_index(self):
+        opinions = ((2, 1, STRONG), (1, 3, WEAK), (3, 3, WEAK))
+        first, second = make_agent(1), make_agent(2)
+        first.store_report(9, opinions, 0.0)
+        second.store_report(9, opinions, 0.0)
+        index = first.reports[9][0][1]
+        assert index == {(1, 2): STRONG, (1, 3): WEAK}
+        assert second.reports[9][0][1] is index
+        listed = list(opinions)
+        first.store_report(8, listed, 0.0)
+        second.store_report(8, listed, 0.0)
+        assert first.reports[8][0][1] == index
+        assert first.reports[8][0][1] is not second.reports[8][0][1]
