@@ -28,7 +28,7 @@ from .mobility import GroundTruth, MobilityConfig, TraceFrame
 from .netsim import NetConfig, Network, warn_if_range_below_social
 from .opinions import BASE_RATE_TOL
 from .percept import PerceptConfig
-from .protocol import Agent, AgentKind, ProtocolConfig, Role
+from .protocol import PERIOD_TOL, Agent, AgentKind, ProtocolConfig, Role
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +84,10 @@ class Scenario:
             raise ValueError("observation_radius cannot exceed the communication range")
         if abs(self.percept.base_rate - self.protocol.base_rate) > BASE_RATE_TOL:
             raise ValueError("percept and protocol base rates differ")
+        if not all(math.isfinite(t) for t, _ in self.removals):
+            raise ValueError("removal times must be finite")
+        if len({p[0] for p in self.opinion_providers}) != len(self.opinion_providers):
+            raise ValueError("opinion provider ids must be unique")
 
 
 @dataclass
@@ -362,31 +366,22 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
     frames, truth = _load_source(scenario)
     warn_if_range_below_social(scenario.net, scenario.protocol.social_distance)
 
-    trace_ids = set()
-    for frame in frames:
-        trace_ids.update(frame.ids)
-    provider_ids = {p[0] for p in scenario.opinion_providers}
-    overlap = provider_ids & trace_ids
+    trace_ids = set().union(*(frame.ids for frame in frames))
+    providers = sorted(scenario.opinion_providers)
+    overlap = {p[0] for p in providers} & trace_ids
     if overlap:
         raise ValueError(f"opinion provider ids collide with trace ids: {sorted(overlap)}")
     unknown_agentless = scenario.agentless_ids - trace_ids
     if unknown_agentless:
         raise ValueError(f"agentless ids not present in trace: {sorted(unknown_agentless)}")
 
-    kind_map: dict[int, AgentKind] = {}
-    for aid in trace_ids:
-        kind_map[aid] = (
-            AgentKind.HUMAN_WITHOUT_AGENT
-            if aid in scenario.agentless_ids
-            else AgentKind.HUMAN_LINKED
-        )
-    for pid, _, _ in scenario.opinion_providers:
-        kind_map[pid] = AgentKind.OPINION_PROVIDER
-
+    kind_map = dict.fromkeys(trace_ids, AgentKind.HUMAN_LINKED)
+    kind_map.update(dict.fromkeys(scenario.agentless_ids, AgentKind.HUMAN_WITHOUT_AGENT))
+    kind_map.update((p[0], AgentKind.OPINION_PROVIDER) for p in providers)
     agents: dict[int, Agent] = {
-        aid: Agent(id=aid, config=scenario.protocol, kind=kind_map[aid])
-        for aid in sorted(kind_map)
-        if kind_map[aid] is not AgentKind.HUMAN_WITHOUT_AGENT
+        aid: Agent(id=aid, config=scenario.protocol, kind=kind)
+        for aid, kind in sorted(kind_map.items())
+        if kind is not AgentKind.HUMAN_WITHOUT_AGENT
     }
 
     seed_seq = np.random.SeedSequence(scenario.seed)
@@ -394,17 +389,22 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
     network = Network(scenario.net, seed=int(net_seed.generate_state(1)[0]))
     percept_rng = np.random.default_rng(percept_seed)
 
-    provider_pos = {p[0]: (p[1], p[2]) for p in scenario.opinion_providers}
-    provider_frame_extra = [
-        (pid, provider_pos[pid][0], provider_pos[pid][1]) for pid in sorted(provider_pos)
-    ]
-
     period = scenario.protocol.period
     steps_per_period = int(round(period / scenario.dt))
     n_periods = int(math.floor(scenario.duration / period + 1e-9))
     sample_every = int(round(scenario.sample_interval / period))
-    removals = sorted(scenario.removals)
-    removal_idx = 0
+
+    # period index -> departing agents; a removal at t takes effect at the
+    # first period k with k * period >= t - PERIOD_TOL, the protocol's rounding rule
+    departures: dict[int, list[int]] = {}
+    removed: set[int] = set()
+    for t, aid in sorted(scenario.removals):
+        if aid not in agents or aid in removed:
+            raise ValueError(
+                f"removal at t={t!r} names no agent: {aid} is unknown, agentless or already removed"
+            )
+        removed.add(aid)
+        departures.setdefault(max(0, math.ceil((t - PERIOD_TOL) / period)), []).append(aid)
 
     metrics_rows: list[MetricsRow] = []
     partitions: list[tuple[float, Partition]] = []
@@ -412,20 +412,12 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
 
     for k in range(n_periods + 1):
         now = k * period
-        frame_idx = min(k * steps_per_period, len(frames) - 1)
-        frame = _frame_with_providers(frames[frame_idx], provider_frame_extra)
+        frame_idx = k * steps_per_period
+        frame = _frame_with_providers(frames[frame_idx], providers)
 
-        while removal_idx < len(removals) and removals[removal_idx][0] <= now:
-            _, departing = removals[removal_idx]
-            removal_idx += 1
-            agent = agents.pop(departing, None)
-            if agent is None:
-                continue
-            if (
-                scenario.protocol.stable_handover
-                and agent.role is Role.CLUSTER_HEAD
-                and len(agent.members) > 1
-            ):
+        for departing in departures.get(k, ()):
+            agent = agents.pop(departing)
+            if agent.role is Role.CLUSTER_HEAD and len(agent.members) > 1:
                 network.inject(now, departing, agent.handover_head(now))
 
         positions = {
@@ -437,23 +429,19 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
         observers = [aid for aid in sorted(agents) if aid in positions]
         observed = percept.observe_period(frame, observers, scenario.percept, percept_rng)
         for aid, (opinions, neighbours) in observed.items():
-            neighbor_list = tuple(
-                (nid, kind_map.get(nid, AgentKind.HUMAN_LINKED), dist)
-                for nid, dist in neighbours
-            )
+            neighbor_list = tuple((nid, kind_map[nid], dist) for nid, dist in neighbours)
             agents[aid].apply_percept(tuple(opinions), neighbor_list, now)
 
         network.step(now, positions, agents)
 
         if k % sample_every == 0:
-            universe = frozenset(a for a in frame.ids if kind_map[a] is not AgentKind.OPINION_PROVIDER)
+            universe = frozenset(frames[frame_idx].ids)
             protocol_partition = extract_partition(agents, network, universe, scenario.protocol)
             partitions.append((now, protocol_partition))
             truth_partition = (
                 None if truth is None else Partition(truth[frame_idx]).restricted(universe)
             )
-            n_protocol = protocol_partition.non_singleton_count()
-            metrics_rows.append(_score(now, truth_partition, protocol_partition, n_protocol))
+            metrics_rows.append(_score(now, truth_partition, protocol_partition))
             role_samples.append(
                 (now, {aid: (a.role, a.head_id) for aid, a in sorted(agents.items())})
             )
@@ -532,22 +520,18 @@ def extract_partition(
     return Partition(list(blocks.values()) + leftovers)
 
 
-def _score(
-    time: float, truth: Optional[Partition], pred: Partition, n_protocol: Optional[int] = None
-) -> MetricsRow:
+def _score(time: float, truth: Optional[Partition], pred: Partition) -> MetricsRow:
     """One metrics row of ``pred`` against ``truth`` (no scores without a
     truth). ``pred`` is restricted to the truth universe and padded with
-    singletons for the truth agents it lacks; ``n_protocol`` defaults to
-    that restricted prediction's situation count."""
+    singletons for the truth agents it lacks, and its situations counted."""
     if truth is None:
-        return MetricsRow(time, None, None, None, None, n_protocol, None)
+        return MetricsRow(time, None, None, None, None, pred.non_singleton_count(), None)
     pred = pred.restricted(truth.universe)
     missing = truth.universe - pred.universe
     if missing:
         pred = Partition(list(pred.blocks) + [{m} for m in missing])
-    if n_protocol is None:
-        n_protocol = pred.non_singleton_count()
     rand, ari, jaccard, n01 = scores(truth, pred)
+    n_protocol = pred.non_singleton_count()
     return MetricsRow(time, rand, ari, jaccard, truth.non_singleton_count(), n_protocol, n01)
 
 

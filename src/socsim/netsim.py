@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .messages import HeadMsg, Message, encode_record
-from .protocol import Agent, AgentKind
+from .protocol import Agent
 
 # A scheduler picks the index of the next ready delivery, one per receiver of
 # a queued emission; the default is FIFO in sequence order. Adversarial
@@ -50,8 +50,7 @@ class QueuedDelivery(NamedTuple):
     sender: int
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     step: int
     time: float
     message: Message
@@ -140,9 +139,6 @@ class Network:
         self._drain(now, agents)
         for aid in order:
             agent = agents[aid]
-            # opinion providers are heads with neighbours that never ask
-            if agent.kind is not AgentKind.HUMAN_LINKED:
-                continue
             candidate = agent.get_candidate(now)
             if candidate is not None:
                 self._emit(now, aid, agent.send_request(candidate, now))

@@ -376,6 +376,9 @@ class Agent:
     def get_candidate(self, now: float) -> Optional[int]:
         """Pick the most promising agent (or, via referral and logged head
         messages, cluster head) to ask for a joint social situation."""
+        # opinion providers are heads with neighbours that never ask
+        if self.kind is not AgentKind.HUMAN_LINKED:
+            return None
         if self.role is not Role.CLUSTER_HEAD or self.pending_request is not None:
             return None
         cfg = self.config

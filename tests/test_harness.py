@@ -31,6 +31,7 @@ from socsim.harness import (
 from socsim.messages import MemberMsg, decode_record
 from socsim.mobility import MobilityConfig, generate
 from socsim.percept import PerceptConfig
+from socsim.protocol import ProtocolConfig
 
 
 def synthetic_scenario(**overrides) -> Scenario:
@@ -76,6 +77,11 @@ class TestScenarioConfig:
         raw = {"source": {"type": "synthetic"}, "durration": 20.0}
         with pytest.raises(SchemaError, match="durration"):
             scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_removal_time_rejected(self, time):
+        with pytest.raises(ValueError, match="finite"):
+            synthetic_scenario(removals=((time, 1),))
 
     def test_load_scenario_reports_json_errors(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -314,6 +320,27 @@ class TestRun:
         scenario = synthetic_scenario(opinion_providers=((0, 1.0, 1.0),))
         with pytest.raises(ValueError):
             run(scenario)
+
+    @pytest.mark.parametrize("period", [0.3, 0.7])
+    def test_departure_at_its_period_despite_rounding(self, period):
+        # k * period rounds below the decimal time for many k at these periods
+        late = []
+        for k in range(1, 41):
+            at = round(k * period, 9)
+            result = run(
+                synthetic_scenario(
+                    mobility=MobilityConfig(n_agents=3, seed=1, group_formation_rate=0.0),
+                    protocol=ProtocolConfig(period=period),
+                    duration=at,
+                    dt=0.1,
+                    removals=((at, 1),),
+                )
+            )
+            roles = [r for _, r in result.role_samples]
+            assert len(roles) == k + 1 and 1 in roles[k - 1]
+            if 1 in roles[k]:
+                late.append(k)
+        assert late == []
 
     def test_provider_never_inside_any_member_set(self):
         scenario = synthetic_scenario(
@@ -565,6 +592,12 @@ class TestCli:
             ({"net": {"seed": 99}}, "seed"),
             ({"percept": {"base_rate": 0.5}}, "protocol.base_rate"),
             ({"percept": {"model": "gmm", "gmm": {"class_priors": [0.5, 0.5]}}}, "GmmModel"),
+            ({"removals": [[2.0, 99]]}, "names no agent"),
+            ({"agentless_ids": [1], "removals": [[2.0, 1]]}, "names no agent"),
+            ({"removals": [[2.0, 1], [4.0, 1]]}, "names no agent"),
+            # Python's JSON reader accepts the NaN literal that json.dumps writes
+            ({"removals": [[math.nan, 1]]}, "finite"),
+            ({"opinion_providers": [[100, 1, 1], [100, 40, 40]]}, "provider ids"),
         ],
     )
     def test_unusable_setting_exit_one(self, tmp_path, capsys, section, message):

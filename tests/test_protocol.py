@@ -241,6 +241,14 @@ class TestGetCandidate:
         seed_neighbor(agent, 9, kind=AgentKind.HUMAN_WITHOUT_AGENT)
         assert agent.get_candidate(0.0) is None
 
+    def test_opinion_provider_never_asks(self):
+        agent = make_agent(5, kind=AgentKind.OPINION_PROVIDER)
+        seed_neighbor(agent, 9)
+        agent.next_candidate = 9
+        assert agent.get_candidate(0.0) is None
+        # the referral stays untouched, as if the provider were never asked
+        assert agent.next_candidate == 9
+
     def test_direct_to_head_routing(self):
         agent = make_agent(1, direct_to_head_routing=True)
         seed_neighbor(agent, 9)
