@@ -148,7 +148,7 @@ def observe_period(
     ids = np.asarray(frame.ids)
     a, b = ids[cols[i_slot]], ids[cols[j_slot]]
     opinions = [
-        (lo, hi, Opinion(belief, disbelief, u0, base_rate))
+        (lo, hi, tuple.__new__(Opinion, (belief, disbelief, u0, base_rate)))
         for lo, hi, belief, disbelief in zip(
             np.minimum(a, b).tolist(),
             np.maximum(a, b).tolist(),

@@ -61,7 +61,9 @@ class NoMembersError(ProtocolError):
 @dataclass
 class ProtocolConfig:
     """Tunable protocol parameters. TTLs default to small multiples of the
-    period so the protocol stays parameter-sparse."""
+    period so the protocol stays parameter-sparse. Head knowledge, and so
+    ``head_knowledge_ttl``, is kept only under ``direct_to_head_routing``,
+    its one reader."""
 
     period: float = 1.0
     request_threshold: float = 0.5
@@ -140,7 +142,8 @@ def resolve_conflict(a: int, b: int) -> int:
 
 @dataclass
 class Agent:
-    """Protocol state and handlers for one agent."""
+    """Protocol state and handlers for one agent. ``observed_heads`` (agent ->
+    (its head, expiry)) is filled only under ``direct_to_head_routing``."""
 
     id: int
     config: ProtocolConfig
@@ -176,11 +179,11 @@ class Agent:
     # message dispatch
 
     def handle_message(self, msg: Message, sender: int, now: float) -> Emission:
+        if isinstance(msg, HeadMsg):
+            return self.handle_head_msg(msg, sender, now)
         if isinstance(msg, MemberMsg):
             self.handle_member_msg(msg, now)
             return []
-        if isinstance(msg, HeadMsg):
-            return self.handle_head_msg(msg, sender, now)
         if isinstance(msg, RequestMsg):
             return self.handle_request(msg, now)
         if isinstance(msg, ResponseMsg):
@@ -235,9 +238,11 @@ class Agent:
         beyond, period, ttl = self._beyond, self.config.period, self.config.opinion_ttl
         for agent in [a for a, expiry in self.denial_cache.items() if not beyond(expiry, now)]:
             del self.denial_cache[agent]
-        for agent in [a for a, (_, exp) in self.observed_heads.items() if not beyond(exp, now)]:
-            del self.observed_heads[agent]
-        self.reports = {s: r for s, r in self.reports.items() if not beyond(now - r[-1][0], ttl)}
+        if self.config.direct_to_head_routing:
+            for agent in [a for a, (_, exp) in self.observed_heads.items() if not beyond(exp, now)]:
+                del self.observed_heads[agent]
+        for sender in [s for s, r in self.reports.items() if beyond(now - r[-1][0], ttl)]:
+            del self.reports[sender]
         for reports in self.reports.values():
             while beyond(now - reports[0][0], ttl):
                 del reports[0]
@@ -307,7 +312,9 @@ class Agent:
                 if pair in index:
                     floored.append(floor_uncertainty(index[pair], u_min))
                     break
-        return fuse_averaging_multi(floored) if floored else None
+        if len(floored) > 1:
+            return fuse_averaging_multi(floored)
+        return floored[0] if floored else None
 
     def group_opinion(
         self, left: Iterable[int], right: Iterable[int], fill_missing: bool
@@ -315,11 +322,7 @@ class Agent:
         """Fuse per-pair views over all cross pairs between the two id
         sets. Missing pairs contribute a vacuous opinion when
         ``fill_missing`` (aggregation happens before any thresholding)."""
-        pairs = set()
-        for x in left:
-            for y in right:
-                if x != y:
-                    pairs.add(sorted_pair(x, y))
+        pairs = {(x, y) if x < y else (y, x) for x in left for y in right if x != y}
         views: list[Opinion] = []
         for pair in sorted(pairs):
             view = self._pair_view(pair)
@@ -327,9 +330,9 @@ class Agent:
                 views.append(view)
             elif fill_missing:
                 views.append(vacuous(self.config.base_rate))
-        if not views:
-            return None
-        return fuse_averaging_multi(views)
+        if len(views) > 1:
+            return fuse_averaging_multi(views)
+        return views[0] if views else None
 
     # ------------------------------------------------------------------
     # membership maintenance (heads)
@@ -349,7 +352,8 @@ class Agent:
             seen = self.last_member_msgs.get(m)
             if seen is None or self._lapsed(seen, now):
                 continue
-            group = self.group_opinion([m], keep_others(self.members, m), fill_missing=True)
+            # the cross pairs leave out (m, m)
+            group = self.group_opinion([m], self.members, fill_missing=True)
             if group is not None and decide(group, cfg.accept_threshold):
                 keep.add(m)
         self.members = keep
@@ -510,7 +514,8 @@ class Agent:
 
     def handle_member_msg(self, msg: MemberMsg, now: float) -> None:
         self.store_report(msg.sender, msg.opinions, now)
-        self.observed_heads[msg.sender] = (msg.head, now + self.config.head_knowledge_ttl)
+        if self.config.direct_to_head_routing:
+            self.observed_heads[msg.sender] = (msg.head, now + self.config.head_knowledge_ttl)
         if self.role is Role.CLUSTER_HEAD and msg.sender in self.members:
             if msg.head == self.id:
                 self.last_member_msgs[msg.sender] = now
@@ -518,11 +523,9 @@ class Agent:
                 self.inconsistent_members.add(msg.sender)
 
     def handle_head_msg(self, msg: HeadMsg, sender: int, now: float) -> Emission:
-        expiry = now + self.config.head_knowledge_ttl
-        self.observed_heads[msg.head] = (msg.head, expiry)
-        for m in msg.agent_members:
-            if m != msg.head:
-                self.observed_heads[m] = (msg.head, expiry)
+        if self.config.direct_to_head_routing:
+            known = (msg.head, now + self.config.head_knowledge_ttl)
+            self.observed_heads.update(dict.fromkeys((msg.head, *msg.agent_members), known))
         if self.kind is AgentKind.OPINION_PROVIDER:
             return []
         if msg.head == self.id:
@@ -594,7 +597,3 @@ class Agent:
                 None,
             )
         ]
-
-
-def keep_others(members: Iterable[int], excluded: int) -> list[int]:
-    return [m for m in members if m != excluded]

@@ -31,7 +31,7 @@ from socsim.harness import (
 from socsim.messages import MemberMsg, decode_record
 from socsim.mobility import MobilityConfig, generate
 from socsim.percept import PerceptConfig
-from socsim.protocol import ProtocolConfig
+from socsim.protocol import Agent, ProtocolConfig
 
 
 def synthetic_scenario(**overrides) -> Scenario:
@@ -435,6 +435,20 @@ class TestRun:
             msg = result.network.latest_head_msgs[head]
             assert not (claimed & set(msg.agent_members))
             claimed |= set(msg.agent_members)
+
+    def test_routing_off_keeps_no_head_knowledge(self, monkeypatch):
+        built = []
+        post_init = Agent.__post_init__
+
+        def recording(agent):
+            post_init(agent)
+            built.append(agent)
+
+        monkeypatch.setattr(Agent, "__post_init__", recording)
+        quick = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "quick.json")
+        assert not quick.protocol.direct_to_head_routing
+        run(quick)
+        assert built and all(agent.observed_heads == {} for agent in built)
 
 
 class TestCollectorScope:

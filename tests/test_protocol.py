@@ -176,7 +176,7 @@ class TestShortPeriodTtls:
 
     def test_head_knowledge_lasts_five_periods(self):
         for k in self.STEPS:
-            agent = make_agent(1, period=0.1)
+            agent = make_agent(1, period=0.1, direct_to_head_routing=True)
             listed = frozenset({7, 8})
             agent.handle_head_msg(HeadMsg(7, listed, listed), 7, k * 0.1)
 
@@ -437,7 +437,7 @@ class TestHandleMemberMsg:
         assert 100 not in agent.members
 
     def test_observed_heads_updated(self):
-        agent = make_agent(5)
+        agent = make_agent(5, direct_to_head_routing=True)
         agent.handle_member_msg(MemberMsg(7, 4, ((2, 3, STRONG),)), 0.0)
         assert agent.observed_heads[7][0] == 4
 
@@ -501,10 +501,27 @@ class TestHandleHeadMsg:
         assert agent.members == {7}
 
     def test_foreign_head_recorded(self):
-        agent = make_agent(1)
+        agent = make_agent(1, direct_to_head_routing=True)
         agent.handle_head_msg(HeadMsg(3, frozenset({3, 4, 8}), frozenset({3, 4, 8})), 3, 0.0)
         assert agent.observed_heads[4][0] == 3
         assert agent.observed_heads[8][0] == 3
+
+    @pytest.mark.parametrize("kind", ["head", "member", "provider"])
+    def test_unconcerned_head_msg_changes_nothing_without_routing(self, kind):
+        # neither from the own head nor listing the receiver: with routing
+        # off nothing reads such a message
+        if kind == "member":
+            agent = self.make_member()
+        elif kind == "head":
+            agent = make_agent(7)
+            agent.members = {7, 8}
+        else:
+            agent = make_agent(7, kind=AgentKind.OPINION_PROVIDER)
+        seed_neighbor(agent, 3)
+        before = repr(vars(agent))
+        msg = HeadMsg(3, frozenset({3, 4}), frozenset({3, 4}))
+        assert agent.handle_message(msg, 3, 0.5) == []
+        assert repr(vars(agent)) == before
 
     def test_merge_adoption_when_listed_by_foreign_head(self):
         agent = self.make_member()
@@ -665,8 +682,9 @@ class TestInvariants:
         assert first == second
 
     def test_bounded_state_million_tick_run(self):
-        # TTL eviction must keep every cache plateaued over a 1e6-tick run
-        agent = make_agent(1)
+        # TTL eviction must keep every cache plateaued over a 1e6-tick run;
+        # routing keeps head knowledge, so its bound binds
+        agent = make_agent(1, direct_to_head_routing=True)
         peak = [0, 0, 0, 0]
         late_peak = [0, 0, 0, 0]
         horizon = 1_000_000
@@ -852,3 +870,41 @@ class TestSenderIndexedStore:
         second.store_report(8, listed, 0.0)
         assert first.reports[8][0][1] == index
         assert first.reports[8][0][1] is not second.reports[8][0][1]
+
+
+def generic_group_opinion(agent, left, right, fill_missing):
+    """``group_opinion`` in its generic form: sorted unique cross pairs, every
+    view fused, a lone one too, and a vacuous fill for missing pairs."""
+    views = []
+    for pair in sorted({(min(x, y), max(x, y)) for x in left for y in right if x != y}):
+        view = agent._pair_view(pair)
+        if view is not None:
+            views.append(view)
+        elif fill_missing:
+            views.append(vacuous(agent.config.base_rate))
+    return fuse_averaging_multi(views) if views else None
+
+
+id_sets_st = st.frozensets(st.sampled_from(STORE_IDS), max_size=3)
+
+
+class TestGroupOpinion:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        u_min=st.sampled_from([0.0, 0.2, 0.6]),
+        fill_missing=st.booleans(),
+        stores=st.lists(st.tuples(st.sampled_from([*STORE_IDS, 100]), reports_st), max_size=8),
+        left=id_sets_st,
+        right=st.one_of(id_sets_st, st.just(None)),
+    )
+    def test_matches_generic_form(self, u_min, fill_missing, stores, left, right):
+        # right None draws the equal set; the reference fuses every view
+        right = left if right is None else right
+        agent = make_agent(1, u_min=u_min)
+        ref = PairIndexedAgent(id=1, config=ProtocolConfig(u_min=u_min))
+        for sender, report in stores:
+            for a in (agent, ref):
+                a.store_report(sender, tuple(report), 0.0)
+        assert repr(agent.group_opinion(left, right, fill_missing)) == repr(
+            generic_group_opinion(ref, left, right, fill_missing)
+        )
