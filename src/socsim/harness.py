@@ -70,13 +70,14 @@ class Scenario:
     gzip_log: bool = False
 
     def __post_init__(self) -> None:
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("duration and dt must be positive")
+        if self.sample_interval is None:
+            self.sample_interval = self.protocol.period
+        for name in ("duration", "dt", "sample_interval"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         ratio = self.protocol.period / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("dt must divide the protocol period")
-        if self.sample_interval is None:
-            self.sample_interval = self.protocol.period
         ratio = self.sample_interval / self.protocol.period
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1 - 1e-9:
             raise ValueError("sample_interval must be a multiple of the protocol period")
@@ -428,9 +429,9 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
 
         observers = [aid for aid in sorted(agents) if aid in positions]
         observed = percept.observe_period(frame, observers, scenario.percept, percept_rng)
-        for aid, (opinions, neighbours) in observed.items():
+        for aid, (index, neighbours) in observed.items():
             neighbor_list = tuple((nid, kind_map[nid], dist) for nid, dist in neighbours)
-            agents[aid].apply_percept(tuple(opinions), neighbor_list, now)
+            agents[aid].apply_percept(index, neighbor_list, now)
 
         network.step(now, positions, agents)
 
@@ -653,9 +654,10 @@ def sweep(
         raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    # every value is checked before the first run
+    scenarios = [_apply_parameter(base, parameter, value) for value in values]
     rows: list[dict] = []
-    for idx, value in enumerate(values):
-        scenario = _apply_parameter(base, parameter, value)
+    for idx, (value, scenario) in enumerate(zip(values, scenarios)):
         scenario.seed = base.seed ^ idx
         run_dir = None
         if out_dir is not None:

@@ -1,9 +1,10 @@
 """Wire message types and the line-oriented log encoding.
 
-Four message kinds exist: member messages carry pairwise opinions plus a
-keep-alive, head messages carry the agreed cluster structure, request and
-response messages implement the merge agreement. Log records are
-``time;type;from;to|*;payload`` lines with opinions as ``b,d,u,a``.
+Four message kinds exist: member messages carry their sender's pair index
+of opinions plus a keep-alive, head messages carry the agreed cluster
+structure, request and response messages implement the merge agreement.
+Log records are ``time;type;from;to|*;payload`` lines with opinions as
+``lo:hi:b,d,u,a``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,15 @@ from typing import NamedTuple, Optional, Union
 from .opinions import Opinion, format_opinion, parse_opinion
 
 
+# one report format from percept to wire: (lo, hi) -> opinion with lo < hi; a
+# member message carries it in ascending pair order, read-only at every receiver
+PairIndex = dict[tuple[int, int], Opinion]
+
+
 class MemberMsg(NamedTuple):
     sender: int
     head: int
-    opinions: tuple[tuple[int, int, Opinion], ...]
+    opinions: PairIndex
 
 
 class HeadMsg(NamedTuple):
@@ -53,7 +59,7 @@ def _ids(values) -> str:
 def encode_payload(msg: Message) -> str:
     if isinstance(msg, MemberMsg):
         fields = [str(msg.head)]
-        fields.extend(f"{i}:{j}:{format_opinion(op)}" for i, j, op in msg.opinions)
+        fields.extend(f"{i}:{j}:{format_opinion(op)}" for (i, j), op in msg.opinions.items())
         return "|".join(fields)
     if isinstance(msg, HeadMsg):
         return f"{msg.head}|{_ids(msg.agent_members)}|{_ids(msg.human_members)}"
@@ -81,11 +87,14 @@ def decode_record(line: str) -> tuple[float, Message, int, Optional[int]]:
     target = None if to_s == "*" else int(to_s)
     fields = payload.split("|")
     if tag == "cm":
-        opinions = []
+        opinions: PairIndex = {}
         for item in fields[1:]:
             i_s, j_s, op_s = item.split(":")
-            opinions.append((int(i_s), int(j_s), parse_opinion(op_s)))
-        msg: Message = MemberMsg(sender, int(fields[0]), tuple(opinions))
+            pair = (int(i_s), int(j_s))
+            if pair[0] >= pair[1] or pair in opinions:
+                raise ValueError(f"pair {i_s}:{j_s} is not ascending or repeats in {line!r}")
+            opinions[pair] = parse_opinion(op_s)
+        msg: Message = MemberMsg(sender, int(fields[0]), opinions)
     elif tag == "ch":
         msg = HeadMsg(int(fields[0]), _parse_ids(fields[1]), _parse_ids(fields[2]))
     elif tag == "req":

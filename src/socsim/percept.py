@@ -14,11 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
+from .messages import PairIndex
 from .mobility import TraceFrame
 from .opinions import Opinion
 
@@ -90,6 +93,9 @@ class PerceptConfig:
             raise ValueError("base_uncertainty must lie in (0, 1]")
         if self.observation_radius <= 0:
             raise ValueError("observation_radius must be positive")
+        for name in ("noise_sigma_pos", "noise_sigma_angle"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.model not in ("parametric", "gmm"):
             raise ValueError(f"unknown percept model {self.model!r}")
         if self.model == "gmm" and self.gmm is None:
@@ -103,18 +109,18 @@ def observe_period(
     observers: Sequence[int],
     config: PerceptConfig,
     rng: np.random.Generator,
-) -> dict[int, tuple[list[tuple[int, int, Opinion]], list[tuple[int, float]]]]:
+) -> dict[int, tuple[PairIndex, list[tuple[int, float]]]]:
     """One period's percept for every observer in one vectorised pass.
 
-    Maps each observer to its opinions about every unordered pair with both
-    individuals within the observation radius, and its (id, true distance)
-    list of the other individuals within that radius. Each observer perturbs
-    the positions and shoulder angles it sees with the configured sensor
-    noise before the geometry features are computed, so the opinion about
-    (i, j) does not depend on pair ordering. The noise of all observers is
-    one draw, laid out per observer in ``observers`` order as its (m, 2)
-    position block followed by its m angles; observers seeing fewer than
-    two individuals draw nothing."""
+    Maps each observer to its pair index, an opinion about every unordered
+    pair with both individuals within the observation radius, and its (id,
+    true distance) list of the other individuals within that radius. Each
+    observer perturbs the positions and shoulder angles it sees with the
+    configured sensor noise before the geometry features are computed, so
+    the opinion about (i, j) does not depend on pair ordering. The noise of
+    all observers is one draw, laid out per observer in ``observers`` order
+    as its (m, 2) position block followed by its m angles; observers seeing
+    fewer than two individuals draw nothing."""
     obs_idx, dist, within = _visibility(frame, observers, config.observation_radius)
     visible = within.sum(axis=1)
     per_row = np.where(visible >= 2, visible, 0)
@@ -147,19 +153,13 @@ def observe_period(
     u0, base_rate = config.base_uncertainty, config.base_rate
     ids = np.asarray(frame.ids)
     a, b = ids[cols[i_slot]], ids[cols[j_slot]]
-    opinions = [
-        (lo, hi, tuple.__new__(Opinion, (belief, disbelief, u0, base_rate)))
-        for lo, hi, belief, disbelief in zip(
-            np.minimum(a, b).tolist(),
-            np.maximum(a, b).tolist(),
-            (likelihood * (1.0 - u0)).tolist(),
-            ((1.0 - likelihood) * (1.0 - u0)).tolist(),
-        )
-    ]
+    pairs = list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    mass = (likelihood * (1.0 - u0)).tolist(), ((1.0 - likelihood) * (1.0 - u0)).tolist()
+    opinions = list(map(partial(tuple.__new__, Opinion), zip(*mass, repeat(u0), repeat(base_rate))))
     neighbours = _neighbour_lists(frame, obs_idx, dist, within)
     ends = np.cumsum(np.bincount(pair_rows, minlength=len(obs_idx))).tolist()
     return {
-        observer: (opinions[start:end], neighbours[r])
+        observer: (dict(zip(pairs[start:end], opinions[start:end])), neighbours[r])
         for r, (observer, start, end) in enumerate(zip(observers, [0] + ends, ends))
     }
 
@@ -169,8 +169,8 @@ def observe(
     observer: int,
     config: PerceptConfig,
     rng: np.random.Generator,
-) -> list[tuple[int, int, Opinion]]:
-    """Opinions of one observer; see ``observe_period``."""
+) -> PairIndex:
+    """Pair index of one observer; see ``observe_period``."""
     return observe_period(frame, [observer], config, rng)[observer][0]
 
 

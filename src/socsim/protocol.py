@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .messages import HeadMsg, MemberMsg, Message, RequestMsg, ResponseMsg
+from .messages import HeadMsg, MemberMsg, Message, PairIndex, RequestMsg, ResponseMsg
 from .opinions import (
     Opinion,
     decide,
@@ -79,8 +79,8 @@ class ProtocolConfig:
     direct_to_head_routing: bool = False
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0.0 < self.period < float("inf"):
+            raise ValueError("period must be positive and finite")
         for name in ("request_threshold", "accept_threshold"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -101,11 +101,7 @@ class ProtocolConfig:
 
 # One emission is (message, unicast target or None for broadcast).
 Emission = list[tuple[Message, Optional[int]]]
-Report = tuple[float, dict[tuple[int, int], Opinion]]
-
-# the last opinions tuple stored, which every receiver of a broadcast stores
-# in turn, and its pair index; holding the tuple keeps its id from reuse
-_last_index: tuple[tuple, dict[tuple[int, int], Opinion]] = ((), {})
+Report = tuple[float, PairIndex]
 
 
 def sorted_pair(i: int, j: int) -> tuple[int, int]:
@@ -221,18 +217,17 @@ class Agent:
         for nid, (_, dist, _) in self.neighbors.items():
             if dist <= self.config.social_distance:
                 in_range.add(nid)
-        own: dict[tuple[int, int], Opinion] = {}
+        own: PairIndex = {}
         for _, index in self.reports.get(self.id, ()):
             own.update(index)
-        opinions = [(i, j, own[i, j]) for i, j in sorted(own) if i in in_range or j in in_range]
+        opinions = {p: own[p] for p in sorted(own) if p[0] in in_range or p[1] in in_range}
         if not opinions:
             if not keep_alive_fallback:
                 return []
             # No current evidence: send a vacuous opinion about the own
             # head tie so the keep-alive still reaches the head.
-            i, j = sorted_pair(self.id, self.head_id)
-            opinions = [(i, j, vacuous(self.config.base_rate))]
-        return [(MemberMsg(self.id, self.head_id, tuple(opinions)), None)]
+            opinions = {sorted_pair(self.id, self.head_id): vacuous(self.config.base_rate)}
+        return [(MemberMsg(self.id, self.head_id, opinions), None)]
 
     def _evict(self, now: float) -> None:
         beyond, period, ttl = self._beyond, self.config.period, self.config.opinion_ttl
@@ -275,27 +270,16 @@ class Agent:
     # opinion bookkeeping
 
     def apply_percept(
-        self,
-        opinions: Iterable[tuple[int, int, Opinion]],
-        neighbors: Iterable[tuple[int, AgentKind, float]],
-        now: float,
+        self, index: PairIndex, neighbors: Iterable[tuple[int, AgentKind, float]], now: float
     ) -> None:
-        self.store_report(self.id, opinions, now)
+        self.store_report(self.id, index, now)
         for nid, kind, dist in neighbors:
             if nid != self.id:
                 self.neighbors[nid] = (kind, dist, now)
 
-    def store_report(
-        self, sender: int, opinions: Iterable[tuple[int, int, Opinion]], now: float
-    ) -> None:
-        """Retain a report of ``sender`` by sorted pair; drop i == j, last duplicate
-        wins. Back-to-back stores of one tuple share its index read-only."""
-        global _last_index
-        key, index = _last_index
-        if opinions is not key:
-            index = {(i, j) if i < j else (j, i): op for i, j, op in opinions if i != j}
-            if type(opinions) is tuple:
-                _last_index = (opinions, index)
+    def store_report(self, sender: int, index: PairIndex, now: float) -> None:
+        """Retain ``index``, a report of ``sender``, as it is and read-only: every
+        receiver of one broadcast holds the message's own index."""
         if index:
             reports = self.reports.setdefault(sender, [])
             # an older report whose pairs the new one all repeats is never read again

@@ -172,9 +172,7 @@ def _mutual_request_run(scheduler):
         now = float(k)
         for aid, agent in sorted(agents.items()):
             other = 2 if aid == 1 else 1
-            agent.apply_percept(
-                ((1, 2, strong),), ((other, AgentKind.HUMAN_LINKED, 1.0),), now
-            )
+            agent.apply_percept({(1, 2): strong}, ((other, AgentKind.HUMAN_LINKED, 1.0),), now)
         net.step(now, positions, agents)
     return agents
 

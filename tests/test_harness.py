@@ -612,6 +612,15 @@ class TestCli:
             # Python's JSON reader accepts the NaN literal that json.dumps writes
             ({"removals": [[math.nan, 1]]}, "finite"),
             ({"opinion_providers": [[100, 1, 1], [100, 40, 40]]}, "provider ids"),
+            # non-finite times, written as the Infinity and NaN literals
+            ({"dt": math.inf}, "dt must be positive and finite"),
+            ({"duration": math.inf}, "duration must be positive and finite"),
+            ({"sample_interval": math.inf}, "sample_interval must be positive and finite"),
+            ({"sample_interval": math.nan}, "sample_interval must be positive and finite"),
+            ({"protocol": {"period": math.inf}}, "period must be positive and finite"),
+            ({"protocol": {"period": math.nan}}, "period must be positive and finite"),
+            ({"percept": {"noise_sigma_pos": -0.5}}, "noise_sigma_pos must be non-negative"),
+            ({"percept": {"noise_sigma_pos": math.nan}}, "noise_sigma_pos must be non-negative"),
         ],
     )
     def test_unusable_setting_exit_one(self, tmp_path, capsys, section, message):
@@ -633,7 +642,7 @@ class TestCli:
         for line in (out / "messages.log").read_text().splitlines():
             _, msg, _, _ = decode_record(line)
             if isinstance(msg, MemberMsg):
-                rates.update(op.base_rate for _, _, op in msg.opinions)
+                rates.update(op.base_rate for op in msg.opinions.values())
         assert rates == {0.5}
 
     def test_bad_replay_inputs_exit_one(self, tmp_path, capsys):
@@ -719,6 +728,22 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+    def test_sweep_rejects_negative_noise_before_any_run(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = cli.main(
+            [
+                "sweep",
+                "--config", str(config),
+                "--parameter", "noise",
+                "--values", "0,-0.2",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 1
+        assert "noise_sigma_pos must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_metrics_subcommand(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

@@ -17,10 +17,14 @@ from socsim.opinions import Opinion
 from conftest import opinions
 
 ids = st.integers(min_value=0, max_value=2**64 - 1)
+# ascending, unique pairs in ascending order: the pair index a member message carries
+pair_indexes = st.dictionaries(
+    st.tuples(ids, ids).filter(lambda p: p[0] < p[1]), opinions(), min_size=1, max_size=4
+).map(lambda index: dict(sorted(index.items())))
 
 
 def test_member_msg_line_shape():
-    msg = MemberMsg(7, 5, ((1, 2, Opinion(0.5, 0.25, 0.25, 0.2)),))
+    msg = MemberMsg(7, 5, {(1, 2): Opinion(0.5, 0.25, 0.25, 0.2)})
     line = encode_record(3.0, msg, 7, None)
     assert line == "3.0;cm;7;*;5|1:2:0.5,0.25,0.25,0.2"
 
@@ -39,12 +43,13 @@ def test_response_without_forward():
     time=st.floats(min_value=0, max_value=1e6, allow_nan=False),
     sender=ids,
     head=ids,
-    ops=st.lists(st.tuples(ids, ids, opinions()), min_size=1, max_size=4),
+    index=pair_indexes,
 )
-def test_member_round_trip(time, sender, head, ops):
-    msg = MemberMsg(sender, head, tuple(ops))
+def test_member_round_trip(time, sender, head, index):
+    msg = MemberMsg(sender, head, index)
     decoded = decode_record(encode_record(time, msg, sender, None))
     assert decoded == (time, msg, sender, None)
+    assert list(decoded[1].opinions) == list(index)
 
 
 @given(time=st.floats(min_value=0, max_value=1e6, allow_nan=False), head=ids, members=st.frozensets(ids, min_size=1, max_size=6))
@@ -75,6 +80,15 @@ def test_response_round_trip(responder, accepted, forward, fwd_members):
     msg = ResponseMsg(responder, accepted, forward, fwd_members)
     decoded = decode_record(encode_record(9.25, msg, responder, 1))
     assert decoded == (9.25, msg, responder, 1)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ["5|2:1:0.5,0.25,0.25,0.2", "5|1:1:0.5,0.25,0.25,0.2", "5|1:2:0.5,0.25,0.25,0.2|1:2:0,0,1,0.2"],
+)
+def test_member_pair_not_ascending_or_repeated_rejected(payload):
+    with pytest.raises(ValueError, match="not ascending or repeats"):
+        decode_record(f"1.0;cm;7;*;{payload}")
 
 
 def test_malformed_line_rejected():

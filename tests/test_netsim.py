@@ -24,16 +24,15 @@ def feed_mutual_percept(agents, positions, now, radius=10.0):
     for aid, agent in agents.items():
         ax, ay = positions[aid]
         neighbors = []
-        opinions = []
+        index = {}
         for nid, (nx, ny) in positions.items():
             if nid == aid:
                 continue
             dist = ((ax - nx) ** 2 + (ay - ny) ** 2) ** 0.5
             if dist <= radius:
                 neighbors.append((nid, AgentKind.HUMAN_LINKED, dist))
-                pair = (min(aid, nid), max(aid, nid))
-                opinions.append((pair[0], pair[1], STRONG))
-        agent.apply_percept(tuple(opinions), tuple(neighbors), now)
+                index[min(aid, nid), max(aid, nid)] = STRONG
+        agent.apply_percept(index, tuple(neighbors), now)
 
 
 class TestDelivery:

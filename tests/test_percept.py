@@ -38,31 +38,31 @@ RNG = np.random.default_rng(0)
 class TestObserve:
     def test_close_mutually_facing_pair_scores_high(self):
         cfg = PerceptConfig()
-        [(i, j, op)] = observe(facing_pair(0.8), 1, cfg, RNG)
+        [((i, j), op)] = observe(facing_pair(0.8), 1, cfg, RNG).items()
         assert (i, j) == (1, 2)
         assert expectation(op) >= 0.8
         assert op.uncertainty == cfg.base_uncertainty
 
     def test_distant_pair_scores_low(self):
         cfg = PerceptConfig(observation_radius=15.0)
-        [(_, _, op)] = observe(facing_pair(10.0), 1, cfg, RNG)
+        [op] = observe(facing_pair(10.0), 1, cfg, RNG).values()
         assert expectation(op) <= 0.2
 
     def test_pairs_outside_radius_absent(self):
         frame = frame_of([(1, 0.0, 0.0, 0.0), (2, 3.0, 0.0, math.pi), (3, 30.0, 0.0, 0.0)])
         cfg = PerceptConfig(observation_radius=10.0)
         out = observe(frame, 1, cfg, RNG)
-        assert [(i, j) for i, j, _ in out] == [(1, 2)]
+        assert list(out) == [(1, 2)]
 
     def test_no_self_pairs(self):
         out = observe(facing_pair(1.0), 1, PerceptConfig(), RNG)
-        assert all(i != j for i, j, _ in out)
+        assert all(i != j for i, j in out)
 
     def test_symmetry_between_observers_without_noise(self):
         frame = frame_of([(1, 0.0, 0.0, 0.3), (2, 1.2, 0.4, 2.0), (3, 2.0, 1.0, 4.0)])
         cfg = PerceptConfig()
-        by_1 = {(i, j): op for i, j, op in observe(frame, 1, cfg, RNG)}
-        by_3 = {(i, j): op for i, j, op in observe(frame, 3, cfg, RNG)}
+        by_1 = observe(frame, 1, cfg, RNG)
+        by_3 = observe(frame, 3, cfg, RNG)
         for pair in by_1.keys() & by_3.keys():
             assert by_1[pair] == by_3[pair]
 
@@ -70,20 +70,20 @@ class TestObserve:
         cfg = PerceptConfig()
         exp_by_distance = []
         for d in (0.5, 1.0, 1.5, 2.5, 4.0):
-            [(_, _, op)] = observe(facing_pair(d), 1, cfg, RNG)
+            [op] = observe(facing_pair(d), 1, cfg, RNG).values()
             exp_by_distance.append(expectation(op))
         assert exp_by_distance == sorted(exp_by_distance, reverse=True)
         exps_by_facing = []
         for ang in (0.0, 0.8, 1.6, 2.4, math.pi):  # agent 2 turns toward agent 1
             frame = frame_of([(1, 0.0, 0.0, 0.0), (2, 1.0, 0.0, ang)])
-            [(_, _, op)] = observe(frame, 1, PerceptConfig(), RNG)
+            [op] = observe(frame, 1, PerceptConfig(), RNG).values()
             exps_by_facing.append(expectation(op))
         assert exps_by_facing == sorted(exps_by_facing)
 
     def test_opinions_valid_with_noise(self):
         cfg = PerceptConfig(noise_sigma_pos=0.5, noise_sigma_angle=0.3)
         frame = frame_of([(i, float(i), 0.5 * i, 0.7 * i) for i in range(1, 6)])
-        for _, _, op in observe(frame, 1, cfg, np.random.default_rng(3)):
+        for op in observe(frame, 1, cfg, np.random.default_rng(3)).values():
             assert op.is_valid()
             assert op.uncertainty == cfg.base_uncertainty
 
@@ -116,7 +116,7 @@ def reference_observe(frame, observer, config, rng):
     rel = frame.pos - frame.pos[oidx]
     sel = np.flatnonzero(np.hypot(rel[:, 0], rel[:, 1]) <= config.observation_radius)
     if len(sel) < 2:
-        return []
+        return {}
     pos, ang = frame.pos[sel], frame.angle[sel]
     if config.noise_sigma_pos > 0.0:
         pos = pos + rng.normal(0.0, config.noise_sigma_pos, size=pos.shape)
@@ -125,12 +125,12 @@ def reference_observe(frame, observer, config, rng):
     i_idx, j_idx, dist, phi = _kernels.pairwise_features(pos, ang)
     likelihood = _likelihood(dist, phi, config)
     u0 = config.base_uncertainty
-    out = []
+    out = {}
     for k in range(len(i_idx)):
         a, b = frame.ids[sel[i_idx[k]]], frame.ids[sel[j_idx[k]]]
         lk = float(likelihood[k])
         op = Opinion(lk * (1.0 - u0), (1.0 - lk) * (1.0 - u0), u0, config.base_rate)
-        out.append((min(a, b), max(a, b), op))
+        out[min(a, b), max(a, b)] = op
     return out
 
 
@@ -171,9 +171,11 @@ class TestObservePeriod:
         rng_ref = np.random.default_rng(seed + 100)
         assert list(batched) == observers
         for o in observers:
-            opinions, neighbours = batched[o]
-            assert opinions == observe(frame, o, cfg, rng_one)
-            assert opinions == reference_observe(frame, o, cfg, rng_ref)
+            index, neighbours = batched[o]
+            assert all(i < j for i, j in index)
+            # in the same pair order too
+            assert list(index.items()) == list(observe(frame, o, cfg, rng_one).items())
+            assert list(index.items()) == list(reference_observe(frame, o, cfg, rng_ref).items())
             assert neighbours == neighbors_within(frame, o, cfg.observation_radius)
         # all three consumed exactly the same noise
         follow = np.random.default_rng(seed + 100)
@@ -188,19 +190,20 @@ class TestObservePeriod:
         batched = observe_period(frame, observers, cfg, np.random.default_rng(1))
         rng_ref = np.random.default_rng(1)
         for o in observers:
-            assert batched[o][0] == reference_observe(frame, o, cfg, rng_ref)
+            reference = reference_observe(frame, o, cfg, rng_ref)
+            assert list(batched[o][0].items()) == list(reference.items())
 
     def test_observer_seeing_nobody_draws_nothing(self):
         frame = frame_of([(1, 0.0, 0.0, 0.0), (2, 50.0, 0.0, 0.0), (3, 51.0, 0.0, 1.0)])
         cfg = PerceptConfig(noise_sigma_pos=0.5, noise_sigma_angle=0.5)
         rng = np.random.default_rng(4)
         out = observe_period(frame, [1], cfg, rng)
-        assert out == {1: ([], [])}
+        assert out == {1: ({}, [])}
         assert rng.random() == np.random.default_rng(4).random()
 
     def test_coincident_points_face_each_other(self):
         frame = frame_of([(1, 2.0, 2.0, 0.0), (2, 2.0, 2.0, 2.0)])
-        [(_, _, op)] = observe_period(frame, [1, 2], PerceptConfig(), RNG)[2][0]
+        [op] = observe_period(frame, [1, 2], PerceptConfig(), RNG)[2][0].values()
         expected = _likelihood(np.array([0.0]), np.array([1.0]), PerceptConfig())[0]
         assert op.belief == expected * (1.0 - PerceptConfig().base_uncertainty)
 
@@ -224,6 +227,13 @@ class TestConfig:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             PerceptConfig(model="nearest")
+
+    @pytest.mark.parametrize("name", ["noise_sigma_pos", "noise_sigma_angle"])
+    @pytest.mark.parametrize("value", [-0.5, -1e-12, math.nan, math.inf])
+    def test_negative_or_non_finite_noise_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
+            PerceptConfig(**{name: value})
+        PerceptConfig(**{name: 0.0})
 
 
 def blobs(rng, n, center, spread=0.08):
@@ -277,7 +287,8 @@ class TestGmm:
     def test_gmm_percept_path(self):
         model = fit_gmm(self.make_labeled(), seed=1)
         cfg = PerceptConfig(model="gmm", gmm=model)
-        [(_, _, op)] = observe(facing_pair(0.8), 1, cfg, RNG)
+        [op] = observe(facing_pair(0.8), 1, cfg, RNG).values()
         assert expectation(op) > 0.6
-        [(_, _, op)] = observe(facing_pair(6.0), 1, PerceptConfig(model="gmm", gmm=model, observation_radius=8.0), RNG)
+        cfg = PerceptConfig(model="gmm", gmm=model, observation_radius=8.0)
+        [op] = observe(facing_pair(6.0), 1, cfg, RNG).values()
         assert expectation(op) < 0.4

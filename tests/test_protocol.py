@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socsim.messages import HeadMsg, MemberMsg, RequestMsg, ResponseMsg
+from socsim.netsim import NetConfig, Network
 from socsim.opinions import (
     Opinion,
     decide,
@@ -37,8 +38,8 @@ def make_agent(aid=1, kind=AgentKind.HUMAN_LINKED, **cfg_kwargs) -> Agent:
 
 
 def seed_neighbor(agent, nid, dist=1.0, kind=AgentKind.HUMAN_LINKED, now=0.0, opinion=STRONG):
-    ops = ((min(agent.id, nid), max(agent.id, nid), opinion),) if opinion else ()
-    agent.apply_percept(ops, ((nid, kind, dist),), now)
+    index = {(min(agent.id, nid), max(agent.id, nid)): opinion} if opinion else {}
+    agent.apply_percept(index, ((nid, kind, dist),), now)
 
 
 class TestTick:
@@ -66,7 +67,7 @@ class TestTick:
         agent.members = {1, 4}
         agent.last_ch_received = 0.0
         agent.apply_percept(
-            ((1, 4, STRONG), (1, 2, STRONG), (2, 4, WEAK)),
+            {(1, 4): STRONG, (1, 2): STRONG, (2, 4): WEAK},
             ((4, AgentKind.HUMAN_LINKED, 1.0), (2, AgentKind.HUMAN_LINKED, 2.0)),
             0.0,
         )
@@ -75,7 +76,7 @@ class TestTick:
         assert target is None
         assert isinstance(msg, MemberMsg)
         assert msg.head == 4
-        assert sorted((i, j) for i, j, _ in msg.opinions) == [(1, 2), (1, 4), (2, 4)]
+        assert sorted(msg.opinions) == [(1, 2), (1, 4), (2, 4)]
 
     def test_member_with_empty_store_sends_vacuous_keep_alive(self):
         agent = make_agent(1)
@@ -85,11 +86,11 @@ class TestTick:
         agent.last_ch_received = 0.0
         [(msg, _)] = agent.tick(0.5)
         assert isinstance(msg, MemberMsg)
-        assert msg.opinions == ((1, 4, vacuous(agent.config.base_rate)),)
+        assert msg.opinions == {(1, 4): vacuous(agent.config.base_rate)}
 
     def test_opinion_store_eviction(self):
         agent = make_agent(1, opinion_ttl=3.0)
-        agent.apply_percept(((1, 2, STRONG),), ((2, AgentKind.HUMAN_LINKED, 1.0),), 0.0)
+        agent.apply_percept({(1, 2): STRONG}, ((2, AgentKind.HUMAN_LINKED, 1.0),), 0.0)
         agent.tick(2.0)
         assert agent._pair_view((1, 2)) == STRONG
         agent.tick(4.0)
@@ -140,7 +141,7 @@ class TestShortPeriodTimeouts:
             agent = make_agent(5, period=0.1)
             agent.members = {5, 7}
             agent.last_member_msgs[7] = k * 0.1
-            agent.store_report(5, ((5, 7, STRONG),), k * 0.1)
+            agent.store_report(5, {(5, 7): STRONG}, k * 0.1)
             agent.recompute_membership((k + 1) * 0.1)
             assert agent.members == {5, 7}, k
 
@@ -188,7 +189,7 @@ class TestShortPeriodTtls:
     def test_opinion_read_for_three_periods(self):
         for k in self.STEPS:
             agent = make_agent(1, period=0.1)
-            agent.store_report(2, ((2, 3, STRONG),), k * 0.1)
+            agent.store_report(2, {(2, 3): STRONG}, k * 0.1)
 
             def held(now):
                 return agent._pair_view((2, 3)) == STRONG
@@ -326,7 +327,7 @@ class TestCheckForSocialSituation:
         strong = Opinion(0.9, 0.05, 0.05, 0.2)
         dissent = Opinion(0.2, 0.7, 0.1, 0.2)
         for m in (1, 2, 3, 4):
-            agent.store_report(m, ((m, 9, strong if m != 4 else dissent),), 0.0)
+            agent.store_report(m, {(m, 9): strong if m != 4 else dissent}, 0.0)
         # direct n-ary fusion oracle over the same opinions
         fused = fuse_averaging_multi([strong, strong, strong, dissent])
         assert decide(fused, 0.5)
@@ -342,13 +343,13 @@ class TestCheckForSocialSituation:
         yes_votes = sum(decide(op, 0.5) for op in votes)
         assert yes_votes * 2 < len(votes)  # majority against
         for sender, op in enumerate(votes):
-            agent.store_report(sender + 10, ((1, 9, op),), 0.0)
+            agent.store_report(sender + 10, {(1, 9): op}, 0.0)
         assert agent.check_for_social_situation(RequestMsg(9, frozenset({9})), 0.0)
 
     def test_singleton_equals_single_decide(self):
         agent = make_agent(5, accept_threshold=0.5)
         op = Opinion(0.55, 0.25, 0.2, 0.2)
-        agent.store_report(5, ((5, 9, op),), 0.0)
+        agent.store_report(5, {(5, 9): op}, 0.0)
         assert agent.check_for_social_situation(
             RequestMsg(9, frozenset({9})), 0.0
         ) == decide(op, 0.5)
@@ -361,9 +362,9 @@ class TestCheckForSocialSituation:
         without_floor = make_agent(1, base_rate=0.5, u_min=0.0)
         with_floor = make_agent(1, base_rate=0.5, u_min=0.3)
         for agent in (without_floor, with_floor):
-            agent.store_report(11, ((1, 9, dominant),), 0.0)
-            agent.store_report(12, ((1, 9, dissent),), 0.0)
-            agent.store_report(13, ((1, 9, dissent),), 0.0)
+            agent.store_report(11, {(1, 9): dominant}, 0.0)
+            agent.store_report(12, {(1, 9): dissent}, 0.0)
+            agent.store_report(13, {(1, 9): dissent}, 0.0)
         req = RequestMsg(9, frozenset({9}))
         assert without_floor.check_for_social_situation(req, 0.0)
         assert not with_floor.check_for_social_situation(req, 0.0)
@@ -380,8 +381,8 @@ class TestHandleResponse:
 
     def test_forward_with_feasible_merge_sets_next_candidate(self):
         agent = make_agent(5)
-        agent.store_report(5, ((5, 3, STRONG),), 0.0)
-        agent.store_report(5, ((5, 9, STRONG),), 0.0)
+        agent.store_report(5, {(3, 5): STRONG}, 0.0)
+        agent.store_report(5, {(5, 9): STRONG}, 0.0)
         agent.send_request(9, 0.0)
         agent.handle_response(
             ResponseMsg(9, False, forward_to=3, forward_members=frozenset({3, 9})), 0.1
@@ -418,27 +419,27 @@ class TestHandleMemberMsg:
         agent = make_agent(5)
         agent.members = {5, 7}
         agent.last_member_msgs[7] = 0.0
-        agent.handle_member_msg(MemberMsg(7, 5, ((5, 7, STRONG),)), 3.0)
+        agent.handle_member_msg(MemberMsg(7, 5, {(5, 7): STRONG}), 3.0)
         assert agent.last_member_msgs[7] == 3.0
 
     def test_false_head_claim_marks_inconsistent(self):
         agent = make_agent(5)
         agent.members = {5, 7}
         agent.last_member_msgs[7] = 0.0
-        agent.handle_member_msg(MemberMsg(7, 4, ((5, 7, STRONG),)), 0.5)
+        agent.handle_member_msg(MemberMsg(7, 4, {(5, 7): STRONG}), 0.5)
         assert 7 in agent.inconsistent_members
         agent.recompute_membership(1.0)
         assert agent.members == {5}
 
     def test_provider_opinion_stored_but_never_member(self):
         agent = make_agent(5)
-        agent.handle_member_msg(MemberMsg(100, 100, ((2, 3, STRONG),)), 0.0)
+        agent.handle_member_msg(MemberMsg(100, 100, {(2, 3): STRONG}), 0.0)
         assert agent.reports[100] == [(0.0, {(2, 3): STRONG})]
         assert 100 not in agent.members
 
     def test_observed_heads_updated(self):
         agent = make_agent(5, direct_to_head_routing=True)
-        agent.handle_member_msg(MemberMsg(7, 4, ((2, 3, STRONG),)), 0.0)
+        agent.handle_member_msg(MemberMsg(7, 4, {(2, 3): STRONG}), 0.0)
         assert agent.observed_heads[7][0] == 4
 
 
@@ -448,7 +449,7 @@ class TestRecomputeMembership:
         agent.members = {5, 7}
         agent.last_member_msgs[7] = 0.0
         agent.membership_since[7] = 0.0
-        agent.store_report(5, ((5, 7, opinion),), 0.0)
+        agent.store_report(5, {(5, 7): opinion}, 0.0)
         return agent
 
     def test_fresh_positive_member_retained(self):
@@ -470,10 +471,10 @@ class TestRecomputeMembership:
         agent = make_agent(5, detach_extension=True)
         agent.members = {5, 7}
         agent.last_member_msgs[7] = 0.0
-        agent.store_report(5, ((5, 7, STRONG),), 0.0)
+        agent.store_report(5, {(5, 7): STRONG}, 0.0)
         seed_neighbor(agent, 30, kind=AgentKind.HUMAN_WITHOUT_AGENT, opinion=None)
-        agent.store_report(5, ((5, 30, STRONG),), 0.0)
-        agent.store_report(7, ((7, 30, STRONG),), 0.0)
+        agent.store_report(5, {(5, 30): STRONG}, 0.0)
+        agent.store_report(7, {(7, 30): STRONG}, 0.0)
         agent.recompute_membership(0.5)
         assert agent.members == {5, 7}
         assert agent.human_members == {5, 7, 30}
@@ -658,7 +659,7 @@ class TestInvariants:
                 agent.handle_head_msg(HeadMsg(h, listed, listed), h, now)
             else:
                 agent.handle_member_msg(
-                    MemberMsg(rng.randrange(2, 8), rng.randrange(2, 8), ((2, 3, STRONG),)),
+                    MemberMsg(rng.randrange(2, 8), rng.randrange(2, 8), {(2, 3): STRONG}),
                     now,
                 )
             assert (agent.role is Role.CLUSTER_HEAD) == (agent.head_id == agent.id)
@@ -693,7 +694,7 @@ class TestInvariants:
             if step % 5 == 0:
                 seed_neighbor(agent, 2 + step % 12, now=now)
                 agent.handle_member_msg(
-                    MemberMsg(3 + step % 7, 3, ((2 + step % 12, 20 + step % 12, STRONG),)),
+                    MemberMsg(3 + step % 7, 3, {(2 + step % 12, 20 + step % 12): STRONG}),
                     now,
                 )
             agent.tick(now)
@@ -725,10 +726,9 @@ class PairIndexedAgent(Agent):
         super().__post_init__()
         self.by_pair: dict[tuple[int, int], dict[int, tuple[Opinion, float]]] = {}
 
-    def store_report(self, sender, opinions, now):
-        for i, j, op in opinions:
-            if i != j:
-                self.by_pair.setdefault((min(i, j), max(i, j)), {})[sender] = (op, now)
+    def store_report(self, sender, index, now):
+        for pair, op in index.items():
+            self.by_pair.setdefault(pair, {})[sender] = (op, now)
 
     def _pair_view(self, pair):
         by_sender = self.by_pair.get(pair)
@@ -751,23 +751,24 @@ class PairIndexedAgent(Agent):
         for nid, (_, dist, _) in self.neighbors.items():
             if dist <= self.config.social_distance:
                 in_range.add(nid)
-        out = []
+        out = {}
         for pair in sorted(self.by_pair):
             entry = self.by_pair[pair].get(self.id)
             if entry is not None and (pair[0] in in_range or pair[1] in in_range):
-                out.append((pair[0], pair[1], entry[0]))
+                out[pair] = entry[0]
         if not out:
             if not keep_alive_fallback:
                 return []
-            i, j = min(self.id, self.head_id), max(self.id, self.head_id)
-            out = [(i, j, vacuous(self.config.base_rate))]
-        return [(MemberMsg(self.id, self.head_id, tuple(out)), None)]
+            pair = (min(self.id, self.head_id), max(self.id, self.head_id))
+            out = {pair: vacuous(self.config.base_rate)}
+        return [(MemberMsg(self.id, self.head_id, out), None)]
 
 
 STORE_IDS = range(5)
-# unsorted pairs, i == j and a pair repeated within one report all occur
-reports_st = st.lists(
-    st.tuples(st.sampled_from(STORE_IDS), st.sampled_from(STORE_IDS), opinions(base_rate=0.2)),
+# a report is a pair index: ascending, unique pairs, each with its opinion
+reports_st = st.dictionaries(
+    st.sampled_from([(lo, hi) for lo in STORE_IDS for hi in STORE_IDS if lo < hi]),
+    opinions(base_rate=0.2),
     max_size=6,
 )
 # time advances in steps below, at and above the period and the TTLs;
@@ -818,7 +819,7 @@ class TestSenderIndexedStore:
                     a.apply_percept(report, [(n, AgentKind.HUMAN_LINKED, d) for n, d in near], now)
                 elif name == "member":
                     sender, head, report = args
-                    a.handle_member_msg(MemberMsg(sender, head, tuple(report)), now)
+                    a.handle_member_msg(MemberMsg(sender, head, report), now)
                 elif name == "head":
                     (head,) = args
                     listed = frozenset({head, 1})
@@ -833,43 +834,19 @@ class TestSenderIndexedStore:
                 for hi in STORE_IDS[lo + 1 :]:
                     assert repr(agent._pair_view((lo, hi))) == repr(ref._pair_view((lo, hi)))
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        broadcasts=st.lists(
-            st.tuples(
-                st.sampled_from(STORE_IDS),
-                reports_st,
-                st.lists(st.sampled_from(range(3)), min_size=1, max_size=4),
-            ),
-            max_size=10,
-        )
-    )
-    def test_shared_index_matches_fresh_index(self, broadcasts):
-        # each broadcast's receivers store one tuple back to back, sharing its
-        # index; the same reports as a list build a fresh index every time
-        shared = [make_agent(r) for r in range(3)]
-        fresh = [make_agent(r) for r in range(3)]
-        for t, (sender, report, receivers) in enumerate(broadcasts):
-            opinions = tuple(report)
-            for r in receivers:
-                shared[r].store_report(sender, opinions, float(t))
-                fresh[r].store_report(sender, list(opinions), float(t))
-        for a, b in zip(shared, fresh):
-            assert a.reports == b.reports
-
-    def test_only_a_tuple_shares_its_index(self):
-        opinions = ((2, 1, STRONG), (1, 3, WEAK), (3, 3, WEAK))
-        first, second = make_agent(1), make_agent(2)
-        first.store_report(9, opinions, 0.0)
-        second.store_report(9, opinions, 0.0)
-        index = first.reports[9][0][1]
-        assert index == {(1, 2): STRONG, (1, 3): WEAK}
-        assert second.reports[9][0][1] is index
-        listed = list(opinions)
-        first.store_report(8, listed, 0.0)
-        second.store_report(8, listed, 0.0)
-        assert first.reports[8][0][1] == index
-        assert first.reports[8][0][1] is not second.reports[8][0][1]
+    def test_broadcast_receivers_hold_the_message_index(self):
+        # no receiver copies or rebuilds a report: each holds the message's own dict
+        agents = {aid: make_agent(aid) for aid in (1, 2, 3, 4)}
+        positions = {aid: (float(aid), 0.0) for aid in agents}
+        member = agents[1]
+        member.role, member.head_id, member.members = Role.MEMBER, 2, {1, 2}
+        seed_neighbor(member, 2)
+        net = Network(NetConfig())
+        net.step(0.0, positions, agents)
+        [entry] = [e for e in net.log.entries if isinstance(e.message, MemberMsg)]
+        assert entry.delivered_to == (2, 3, 4)
+        for r in entry.delivered_to:
+            assert agents[r].reports[1][-1][1] is entry.message.opinions
 
 
 def generic_group_opinion(agent, left, right, fill_missing):
@@ -904,7 +881,7 @@ class TestGroupOpinion:
         ref = PairIndexedAgent(id=1, config=ProtocolConfig(u_min=u_min))
         for sender, report in stores:
             for a in (agent, ref):
-                a.store_report(sender, tuple(report), 0.0)
+                a.store_report(sender, report, 0.0)
         assert repr(agent.group_opinion(left, right, fill_missing)) == repr(
             generic_group_opinion(ref, left, right, fill_missing)
         )
