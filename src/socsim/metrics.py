@@ -37,13 +37,6 @@ class Partition:
         self.universe: frozenset[int] = frozenset(seen)
 
     @classmethod
-    def from_labels(cls, labels: dict[int, int]) -> "Partition":
-        by_label: dict[int, set[int]] = {}
-        for agent, label in labels.items():
-            by_label.setdefault(label, set()).add(agent)
-        return cls(by_label.values())
-
-    @classmethod
     def singletons(cls, universe: Iterable[int]) -> "Partition":
         return cls([{a} for a in universe])
 

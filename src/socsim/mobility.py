@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -52,21 +51,23 @@ class MobilityConfig:
     def __post_init__(self) -> None:
         if self.n_agents < 0:
             raise ValueError("n_agents must be non-negative")
-        if self.area[0] <= 0 or self.area[1] <= 0:
-            raise ValueError("area must be positive")
+        if not all(0.0 < side < math.inf for side in self.area):
+            raise ValueError("area must be positive and finite")
+        if not 0.0 <= self.group_formation_rate < math.inf:
+            raise ValueError("group_formation_rate must be non-negative and finite")
         if not 0.0 <= self.gauss_markov_alpha <= 1.0:
             raise ValueError("gauss_markov_alpha must lie in [0, 1]")
         if not 0.0 <= self.moving_group_ratio <= 1.0:
             raise ValueError("moving_group_ratio must lie in [0, 1]")
-        if self.force_k_center <= 0 or self.force_k_repel <= 0:
+        if not (self.force_k_center > 0 and self.force_k_repel > 0):
             raise ValueError("force gains must be positive")
         if len(self.speed_levels) != len(self.speed_transitions):
             raise ValueError("speed chain size mismatch")
         for row in self.speed_transitions:
-            if len(row) != len(self.speed_levels) or abs(sum(row) - 1.0) > 1e-9:
+            if len(row) != len(self.speed_levels) or not abs(sum(row) - 1.0) <= 1e-9:
                 raise ValueError("speed transition rows must sum to 1")
         total = sum(self.group_size_distribution.values())
-        if self.group_size_distribution and abs(total - 1.0) > 1e-9:
+        if self.group_size_distribution and not abs(total - 1.0) <= 1e-9:
             raise ValueError("group size probabilities must sum to 1")
         if any(s < 2 for s in self.group_size_distribution):
             raise ValueError("groups need at least 2 members")
@@ -78,12 +79,6 @@ class TraceFrame:
     ids: tuple[int, ...]
     pos: np.ndarray  # (n, 2) meters
     angle: np.ndarray  # (n,) radians in [0, 2*pi)
-
-    def index_of(self, agent: int) -> Optional[int]:
-        try:
-            return self.ids.index(agent)
-        except ValueError:
-            return None
 
 
 # Ground truth: one tuple of blocks (frozensets of agent ids) per frame.

@@ -36,11 +36,11 @@ class NetConfig:
     latency: int = 0
 
     def __post_init__(self) -> None:
-        if self.comm_range <= 0:
+        if not self.comm_range > 0:
             raise ValueError("comm_range must be positive")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError("loss_probability must lie in [0, 1)")
-        if self.latency < 0 or int(self.latency) != self.latency:
+        if not 0 <= self.latency < float("inf") or int(self.latency) != self.latency:
             raise ValueError("latency must be a non-negative integer number of steps")
 
 
@@ -155,25 +155,23 @@ class Network:
     def _update_range(
         self, positions: dict[int, tuple[float, float]], agents: dict[int, Agent]
     ) -> None:
-        """Build this step's range table, every position's ascending list of
-        the others within comm range (dx * dx + dy * dy <= comm_range ** 2),
-        and record each live agent's count of live agents in it."""
-        ids = sorted(positions)
+        """Build this step's range table, every agent's ascending list of the
+        other agents within comm range (dx * dx + dy * dy <= comm_range ** 2),
+        and record each agent's count of them. Positions of ids that are not
+        agents are left out: only agents receive messages and are counted."""
+        ids = sorted(aid for aid in positions if aid in agents)
         pos = np.array([positions[a] for a in ids], dtype=float).reshape(-1, 2)
         dx = pos[:, 0][:, None] - pos[:, 0][None, :]
         dy = pos[:, 1][:, None] - pos[:, 1][None, :]
         within = dx * dx + dy * dy <= self.config.comm_range**2
         np.fill_diagonal(within, False)
         receivers = np.asarray(ids, dtype=np.int64)[np.nonzero(within)[1]].tolist()
-        ends = np.cumsum(within.sum(axis=1)).tolist()
+        counts = within.sum(axis=1)
+        ends = np.cumsum(counts).tolist()
         self._receivers = {
             aid: tuple(receivers[start:end]) for aid, start, end in zip(ids, [0] + ends, ends)
         }
-        live = np.array([aid in agents for aid in ids], dtype=bool)
-        counts = (within & live).sum(axis=1).tolist()
-        self.log.neighbor_counts[self._step_no] = {
-            aid: count for aid, count, alive in zip(ids, counts, live.tolist()) if alive
-        }
+        self.log.neighbor_counts[self._step_no] = dict(zip(ids, counts.tolist()))
 
     def _emit(self, now: float, sender: int, emissions, deliver_step: Optional[int] = None) -> None:
         cfg = self.config
@@ -187,8 +185,7 @@ class Network:
             elif target is None:
                 receivers = in_range
             else:
-                # a unicast to oneself covers zero distance
-                receivers = (target,) if target == sender or target in in_range else ()
+                receivers = (target,) if target in in_range else ()
             if cfg.loss_probability > 0.0 and receivers:
                 # one uniform per receiver in range, in receiver order
                 kept = self._rng.random(len(receivers)) >= cfg.loss_probability

@@ -11,7 +11,6 @@ at several accuracy levels.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -49,31 +48,6 @@ class GmmModel:
         out = np.where(denom > 0, p1 * like1 / np.where(denom > 0, denom, 1.0), p1)
         return out
 
-    def to_json(self) -> str:
-        payload = {
-            "classes": [
-                {
-                    "means": self.means[c].tolist(),
-                    "covariances": self.covariances[c].tolist(),
-                    "weights": self.weights[c].tolist(),
-                }
-                for c in (0, 1)
-            ],
-            "class_priors": list(self.class_priors),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GmmModel":
-        payload = json.loads(text)
-        classes = payload["classes"]
-        return cls(
-            means=tuple(np.asarray(c["means"], float) for c in classes),
-            covariances=tuple(np.asarray(c["covariances"], float) for c in classes),
-            weights=tuple(np.asarray(c["weights"], float) for c in classes),
-            class_priors=tuple(payload["class_priors"]),
-        )
-
 
 @dataclass
 class PerceptConfig:
@@ -91,9 +65,12 @@ class PerceptConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.base_uncertainty <= 1.0:
             raise ValueError("base_uncertainty must lie in (0, 1]")
-        if self.observation_radius <= 0:
+        if not self.observation_radius > 0:
             raise ValueError("observation_radius must be positive")
-        for name in ("noise_sigma_pos", "noise_sigma_angle"):
+        for name in ("distance_midpoint", "distance_steepness"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("facing_weight", "noise_sigma_pos", "noise_sigma_angle"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
         if self.model not in ("parametric", "gmm"):
@@ -176,7 +153,7 @@ def observe(
 
 def neighbors_within(frame: TraceFrame, observer: int, radius: float) -> list[tuple[int, float]]:
     """(id, true distance) for every other individual within ``radius``."""
-    if frame.index_of(observer) is None:
+    if observer not in frame.ids:
         return []
     obs_idx, dist, within = _visibility(frame, [observer], radius)
     return _neighbour_lists(frame, obs_idx, dist, within)[0]

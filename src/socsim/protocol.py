@@ -85,18 +85,17 @@ class ProtocolConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if self.social_distance <= 0:
+        if not self.social_distance > 0:
             raise ValueError("social_distance must be positive")
         if not 0.0 <= self.u_min <= 1.0:
             raise ValueError("u_min must lie in [0, 1]")
         if not 0.0 <= self.base_rate <= 1.0:
             raise ValueError("base_rate must lie in [0, 1]")
-        if self.denial_ttl is None:
-            self.denial_ttl = 10.0 * self.period
-        if self.head_knowledge_ttl is None:
-            self.head_knowledge_ttl = 5.0 * self.period
-        if self.opinion_ttl is None:
-            self.opinion_ttl = 3.0 * self.period
+        for name, periods in (("denial_ttl", 10), ("head_knowledge_ttl", 5), ("opinion_ttl", 3)):
+            if getattr(self, name) is None:
+                setattr(self, name, periods * self.period)
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 # One emission is (message, unicast target or None for broadcast).
@@ -144,7 +143,6 @@ class Agent:
     id: int
     config: ProtocolConfig
     kind: AgentKind = AgentKind.HUMAN_LINKED
-    role: Role = Role.CLUSTER_HEAD
     head_id: int = -1
     members: set[int] = field(default_factory=set)
     human_members: set[int] = field(default_factory=set)
@@ -170,6 +168,11 @@ class Agent:
         if not self.human_members:
             self.human_members = set(self.members)
         self.membership_since.setdefault(self.id, 0.0)
+
+    @property
+    def role(self) -> Role:
+        """An agent heads a cluster exactly when it is its own head."""
+        return Role.CLUSTER_HEAD if self.head_id == self.id else Role.MEMBER
 
     # ------------------------------------------------------------------
     # message dispatch
@@ -257,7 +260,6 @@ class Agent:
         return value > limit + PERIOD_TOL
 
     def _become_singleton(self, now: float) -> None:
-        self.role = Role.CLUSTER_HEAD
         self.head_id = self.id
         self.members = {self.id}
         self.human_members = {self.id}
@@ -473,7 +475,6 @@ class Agent:
         self.pending_request = None
         cfg = self.config
         if res.accepted:
-            self.role = Role.MEMBER
             self.head_id = res.responder
             self.members.add(res.responder)
             self.human_members.add(res.responder)
@@ -530,7 +531,6 @@ class Agent:
             if self.role is Role.MEMBER or self.members == {self.id}:
                 # A foreign head lists us: either a merge we joined through
                 # our former head or a handover relay. Adopt the agreed view.
-                self.role = Role.MEMBER
                 self.head_id = msg.head
                 self.last_ch_received = now
                 self.pending_request = None
@@ -544,11 +544,8 @@ class Agent:
         self.human_members = set(msg.human_members) | self.members
 
     def _assume_headship(self, msg: HeadMsg, now: float) -> None:
-        self.role = Role.CLUSTER_HEAD
         self.head_id = self.id
-        self.members = set(msg.agent_members)
-        self.members.add(self.id)
-        self.human_members = set(msg.human_members) | self.members
+        self._adopt_view(msg)
         self.pending_request = None
         for m in self.members:
             self.last_member_msgs.setdefault(m, now)

@@ -27,7 +27,7 @@ from socsim.harness import Scenario, SyntheticSource, load_scenario, run
 from socsim.mobility import MobilityConfig
 from socsim.netsim import NetConfig
 from socsim.percept import PerceptConfig, fit_gmm
-from socsim.protocol import ProtocolConfig
+from socsim.protocol import ProtocolConfig, Role
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "golden_digests.json"
@@ -109,6 +109,20 @@ def test_golden_digests(name, tmp_path):
     expected = json.loads(DIGESTS.read_text())
     assert sorted(expected) == sorted(CASES)
     assert case_digests(name, tmp_path) == expected[name]
+
+
+@pytest.mark.parametrize("name", ["removals_handover", "short_period_handover", "crowded"])
+def test_role_follows_head(name):
+    # accepted responses, foreign adoption, head timeouts and handovers all
+    # occur in these runs; an agent heads a cluster exactly when it is its own head
+    result = run(CASES[name]())
+    sampled = [
+        (aid, role, head)
+        for _, roles in result.role_samples
+        for aid, (role, head) in roles.items()
+    ]
+    assert any(head != aid for aid, _, head in sampled)
+    assert all((role is Role.CLUSTER_HEAD) == (head == aid) for aid, role, head in sampled)
 
 
 def regenerate(path: Path = DIGESTS) -> None:

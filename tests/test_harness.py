@@ -621,6 +621,26 @@ class TestCli:
             ({"protocol": {"period": math.nan}}, "period must be positive and finite"),
             ({"percept": {"noise_sigma_pos": -0.5}}, "noise_sigma_pos must be non-negative"),
             ({"percept": {"noise_sigma_pos": math.nan}}, "noise_sigma_pos must be non-negative"),
+            ({"protocol": {"opinion_ttl": math.nan}}, "opinion_ttl must be positive and finite"),
+            ({"protocol": {"denial_ttl": -5.0}}, "denial_ttl must be positive and finite"),
+            (
+                {"protocol": {"head_knowledge_ttl": math.nan}},
+                "head_knowledge_ttl must be positive and finite",
+            ),
+            ({"protocol": {"social_distance": math.nan}}, "social_distance must be positive"),
+            ({"net": {"comm_range": math.nan}}, "comm_range must be positive"),
+            ({"net": {"latency": math.inf}}, "latency must be a non-negative integer"),
+            ({"net": {"latency": math.nan}}, "latency must be a non-negative integer"),
+            ({"percept": {"observation_radius": math.nan}}, "observation_radius must be positive"),
+            ({"percept": {"distance_midpoint": math.nan}}, "distance_midpoint must be finite"),
+            (
+                {"source": {"type": "synthetic", "mobility": {"area": [math.nan, 50.0]}}},
+                "area must be positive and finite",
+            ),
+            (
+                {"source": {"type": "synthetic", "mobility": {"group_formation_rate": math.nan}}},
+                "group_formation_rate must be non-negative and finite",
+            ),
         ],
     )
     def test_unusable_setting_exit_one(self, tmp_path, capsys, section, message):

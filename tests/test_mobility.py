@@ -126,6 +126,12 @@ class TestGenerate:
             MobilityConfig(speed_transitions=((0.5, 0.4, 0.0),) * 3)
         with pytest.raises(ValueError):
             generate(MobilityConfig(), duration=0.0, dt=0.5)
+        for area in ((math.nan, 50.0), (50.0, math.inf), (0.0, 50.0)):
+            with pytest.raises(ValueError, match="area must be positive and finite"):
+                MobilityConfig(area=area)
+        for rate in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError, match="group_formation_rate must be non-negative"):
+                MobilityConfig(group_formation_rate=rate)
 
 
 class TestForceModel:

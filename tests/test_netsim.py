@@ -64,6 +64,20 @@ class TestDelivery:
         roles = sorted(a.role.value for a in agents.values())
         assert roles == ["cluster_head", "member"]
 
+    def test_position_without_agent_neither_receives_nor_counts(self):
+        def run(stray):
+            _, agents, positions = make_world([1, 2], {1: (0.0, 0.0), 2: (5.0, 0.0)})
+            net = Network(NetConfig(loss_probability=0.3), seed=4)
+            for k in range(4):
+                feed_mutual_percept(agents, positions, float(k))
+                net.step(float(k), {**positions, **stray}, agents)
+            return net.log
+
+        log = run({3: (2.0, 0.0)})
+        assert log.entries and all(3 not in e.delivered_to for e in log.entries)
+        assert all(3 not in counts for counts in log.neighbor_counts.values())
+        assert log == run({})
+
     def test_removed_agent_drops_pending_messages(self):
         _, agents, positions = make_world([1, 2], {1: (0.0, 0.0), 2: (5.0, 0.0)})
         net = Network(NetConfig(latency=2))

@@ -9,7 +9,6 @@ from socsim import _kernels
 from socsim.mobility import TraceFrame
 from socsim.opinions import Opinion, expectation
 from socsim.percept import (
-    GmmModel,
     PerceptConfig,
     _likelihood,
     fit_gmm,
@@ -228,7 +227,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             PerceptConfig(model="nearest")
 
-    @pytest.mark.parametrize("name", ["noise_sigma_pos", "noise_sigma_angle"])
+    @pytest.mark.parametrize("name", ["distance_midpoint", "distance_steepness"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_likelihood_shape_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PerceptConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    def test_observation_radius_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="observation_radius must be positive"):
+            PerceptConfig(observation_radius=value)
+
+    @pytest.mark.parametrize("name", ["noise_sigma_pos", "noise_sigma_angle", "facing_weight"])
     @pytest.mark.parametrize("value", [-0.5, -1e-12, math.nan, math.inf])
     def test_negative_or_non_finite_noise_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
@@ -275,14 +285,9 @@ class TestGmm:
         labeled = self.make_labeled(seed=5)
         m1 = fit_gmm(labeled, seed=7)
         m2 = fit_gmm(labeled, seed=7)
-        assert m1.to_json() == m2.to_json()
-
-    def test_json_round_trip(self):
-        model = fit_gmm(self.make_labeled(), seed=1)
-        restored = GmmModel.from_json(model.to_json())
-        x = np.array([1.0, 2.0])
-        phi = np.array([0.9, 0.1])
-        assert np.allclose(model.posterior(x, phi), restored.posterior(x, phi))
+        for field in ("means", "covariances", "weights"):
+            assert all(map(np.array_equal, getattr(m1, field), getattr(m2, field)))
+        assert m1.class_priors == m2.class_priors
 
     def test_gmm_percept_path(self):
         model = fit_gmm(self.make_labeled(), seed=1)

@@ -1,5 +1,6 @@
 """State machine tests: roles, merging, timeouts, conflicts, extensions."""
 
+import math
 import random
 
 import pytest
@@ -50,7 +51,6 @@ class TestTick:
 
     def test_member_reverts_after_silent_head(self):
         agent = make_agent(2)
-        agent.role = Role.MEMBER
         agent.head_id = 9
         agent.members = {2, 9}
         agent.last_ch_received = 0.0
@@ -62,7 +62,6 @@ class TestTick:
 
     def test_member_emits_stored_in_range_pairs(self):
         agent = make_agent(1)
-        agent.role = Role.MEMBER
         agent.head_id = 4
         agent.members = {1, 4}
         agent.last_ch_received = 0.0
@@ -80,7 +79,6 @@ class TestTick:
 
     def test_member_with_empty_store_sends_vacuous_keep_alive(self):
         agent = make_agent(1)
-        agent.role = Role.MEMBER
         agent.head_id = 4
         agent.members = {1, 4}
         agent.last_ch_received = 0.0
@@ -122,7 +120,6 @@ class TestShortPeriodTimeouts:
     def test_member_keeps_head_for_one_period(self):
         for k in self.STEPS:
             agent = make_agent(2, period=0.1)
-            agent.role = Role.MEMBER
             agent.head_id = 9
             agent.members = {2, 9}
             agent.last_ch_received = k * 0.1
@@ -287,7 +284,6 @@ class TestSendRequest:
 class TestHandleRequest:
     def test_member_forwards_to_head(self):
         agent = make_agent(7)
-        agent.role = Role.MEMBER
         agent.head_id = 5
         agent.members = {5, 7}
         [(msg, target)] = agent.handle_request(RequestMsg(2, frozenset({2})), 0.0)
@@ -483,7 +479,6 @@ class TestRecomputeMembership:
 class TestHandleHeadMsg:
     def make_member(self):
         agent = make_agent(7)
-        agent.role = Role.MEMBER
         agent.head_id = 5
         agent.members = {5, 7}
         agent.last_ch_received = 0.0
@@ -632,6 +627,19 @@ class TestHandover:
         assert agent.handover_head(10.0) == []
 
 
+class TestConfig:
+    @pytest.mark.parametrize("name", ["denial_ttl", "head_knowledge_ttl", "opinion_ttl"])
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+    def test_ttl_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            ProtocolConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_social_distance_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="social_distance must be positive"):
+            ProtocolConfig(social_distance=value)
+
+
 class TestInvariants:
     def test_role_head_coherence_under_random_events(self):
         rng = random.Random(0)
@@ -665,6 +673,13 @@ class TestInvariants:
             assert (agent.role is Role.CLUSTER_HEAD) == (agent.head_id == agent.id)
             assert agent.id in agent.members
             assert agent.members <= agent.human_members or not cfg.detach_extension
+
+    def test_role_cannot_be_assigned(self):
+        agent = make_agent(1)
+        with pytest.raises(AttributeError):
+            agent.role = Role.MEMBER
+        agent.head_id = 4
+        assert agent.role is Role.MEMBER
 
     def test_determinism_identical_event_sequences(self):
         def run_once():
@@ -839,7 +854,7 @@ class TestSenderIndexedStore:
         agents = {aid: make_agent(aid) for aid in (1, 2, 3, 4)}
         positions = {aid: (float(aid), 0.0) for aid in agents}
         member = agents[1]
-        member.role, member.head_id, member.members = Role.MEMBER, 2, {1, 2}
+        member.head_id, member.members = 2, {1, 2}
         seed_neighbor(member, 2)
         net = Network(NetConfig())
         net.step(0.0, positions, agents)
