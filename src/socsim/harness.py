@@ -28,7 +28,7 @@ from .mobility import GroundTruth, MobilityConfig, TraceFrame
 from .netsim import NetConfig, Network, warn_if_range_below_social
 from .opinions import BASE_RATE_TOL
 from .percept import PerceptConfig
-from .protocol import PERIOD_TOL, Agent, AgentKind, ProtocolConfig, Role
+from .protocol import PERIOD_TOL, Agent, AgentKind, ProtocolConfig, Role, StrongPairs
 
 log = logging.getLogger(__name__)
 
@@ -391,6 +391,7 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
     percept_rng = np.random.default_rng(percept_seed)
 
     period = scenario.protocol.period
+    strong_at = (scenario.protocol.request_threshold, scenario.protocol.u_min)
     steps_per_period = int(round(period / scenario.dt))
     n_periods = int(math.floor(scenario.duration / period + 1e-9))
     sample_every = int(round(scenario.sample_interval / period))
@@ -428,10 +429,12 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
         }
 
         observers = [aid for aid in sorted(agents) if aid in positions]
-        observed = percept.observe_period(frame, observers, scenario.percept, percept_rng)
-        for aid, (index, neighbours) in observed.items():
+        observed = percept.observe_period(
+            frame, observers, scenario.percept, percept_rng, *strong_at
+        )
+        for aid, (index, neighbours, strong) in observed.items():
             neighbor_list = tuple((nid, kind_map[nid], dist) for nid, dist in neighbours)
-            agents[aid].apply_percept(index, neighbor_list, now)
+            agents[aid].apply_percept(index, neighbor_list, now, StrongPairs(*strong_at, strong))
 
         network.step(now, positions, agents)
 

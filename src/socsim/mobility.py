@@ -61,11 +61,21 @@ class MobilityConfig:
             raise ValueError("moving_group_ratio must lie in [0, 1]")
         if not (self.force_k_center > 0 and self.force_k_repel > 0):
             raise ValueError("force gains must be positive")
+        for name in ("interaction_distance", "angle_jitter_sigma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if not all(0.0 <= v < math.inf for v in self.speed_levels):
+            raise ValueError("speed_levels must be non-negative and finite")
         if len(self.speed_levels) != len(self.speed_transitions):
             raise ValueError("speed chain size mismatch")
         for row in self.speed_transitions:
+            if not all(0.0 <= p <= 1.0 for p in row):
+                raise ValueError("speed_transitions entries must lie in [0, 1]")
             if len(row) != len(self.speed_levels) or not abs(sum(row) - 1.0) <= 1e-9:
                 raise ValueError("speed transition rows must sum to 1")
+        rest = self.resting_duration_range
+        if len(rest) != 2 or not 0.0 <= rest[0] <= rest[1] < math.inf:
+            raise ValueError("resting_duration_range must be finite with 0 <= low <= high")
         total = sum(self.group_size_distribution.values())
         if self.group_size_distribution and not abs(total - 1.0) <= 1e-9:
             raise ValueError("group size probabilities must sum to 1")

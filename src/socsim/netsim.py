@@ -6,7 +6,9 @@ attempt one request each. Broadcasts fan out to every agent within
 communication range of the sender at emission time; unicasts deliver only
 if the target is in range. Each delivery is independently dropped with the
 configured loss probability from a seeded generator, so a (scenario, seed)
-pair fully determines the delivery log.
+pair fully determines the delivery log. The log lists every receiver of an
+emission, but a head message reaches only the handlers it concerns: the
+others would leave their agent unchanged (``protocol.concerned_receivers``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .messages import HeadMsg, Message, encode_record
-from .protocol import Agent
+from .protocol import Agent, concerned_receivers
 
 # A scheduler picks the index of the next ready delivery, one per receiver of
 # a queued emission; the default is FIFO in sequence order. Adversarial
@@ -113,9 +115,10 @@ class Network:
         self.log = DeliveryLog()
         self.latest_head_msgs: dict[int, HeadMsg] = {}
         self._rng = np.random.default_rng(seed)
-        # due step -> its emissions in sequence order, each
-        # (message, sender, receivers) with the receivers in delivery order
-        self._queue: dict[int, deque[tuple[Message, int, tuple[int, ...]]]] = {}
+        # due step -> its emissions in sequence order, each (message, sender,
+        # receivers, note) with the receivers in delivery order and the note
+        # what the emission carries beside the message: [] or [StrongPairs]
+        self._queue: dict[int, deque[tuple[Message, int, tuple[int, ...], list]]] = {}
         self._step_no = -1
         # sender -> ascending ids of the other agents within comm range,
         # from the positions of the latest step
@@ -176,7 +179,7 @@ class Network:
     def _emit(self, now: float, sender: int, emissions, deliver_step: Optional[int] = None) -> None:
         cfg = self.config
         base_step = self._step_no if deliver_step is None else deliver_step
-        for message, target in emissions:
+        for message, target, *note in emissions:
             if isinstance(message, HeadMsg) and message.head == sender:
                 self.latest_head_msgs[sender] = message
             in_range = self._receivers.get(sender)
@@ -192,7 +195,7 @@ class Network:
                 receivers = tuple(compress(receivers, kept.tolist()))
             if receivers:
                 queue = self._queue.setdefault(base_step + cfg.latency, deque())
-                queue.append((message, sender, receivers))
+                queue.append((message, sender, receivers, note))
             self.log.entries.append(LogEntry(base_step, now, message, sender, target, receivers))
 
     def _drain(self, now: float, agents: dict[int, Agent]) -> None:
@@ -204,19 +207,22 @@ class Network:
                 self._queue.pop(self._step_no, None)
                 return
             if self.scheduler is None:
-                message, sender, receivers = ready.popleft()
+                message, sender, receivers, note = ready.popleft()
             else:
                 # the scheduler picks one delivery per receiver; the rest stay queued one by one
-                view = tuple(QueuedDelivery(r, m, s) for m, s, rs in ready for r in rs)
-                target, message, sender = picked = view[self.scheduler(now, view)]
+                single = [(m, s, (r,), n) for m, s, rs, n in ready for r in rs]
+                view = tuple(QueuedDelivery(rs[0], m, s) for m, s, rs, _ in single)
+                message, sender, receivers, note = single.pop(self.scheduler(now, view))
                 ready.clear()
-                ready.extend((d.message, d.sender, (d.target,)) for d in view if d is not picked)
-                receivers = (target,)
+                ready.extend(single)
+            if isinstance(message, HeadMsg):
+                # tested when popped: an earlier delivery may have moved a head_id
+                receivers = concerned_receivers(message, receivers, agents)
             for target in receivers:
                 agent = agents.get(target)
                 if agent is None:
                     continue
-                out = agent.handle_message(message, sender, now)
+                out = agent.handle_message(message, sender, now, *note)
                 if out:
                     self._emit(now, target, out)
 

@@ -17,6 +17,8 @@ PRIOR_WEIGHT = 2.0
 
 SUM_TOL = 1e-9
 BASE_RATE_TOL = 1e-9
+# rounding slack of the averaging-fusion bound in ``may_pass``
+FUSION_BOUND_TOL = 1e-9
 
 
 class Opinion(NamedTuple):
@@ -142,6 +144,14 @@ def decide(op: Opinion, threshold: float) -> bool:
     """Discretize an opinion: true iff its expectation reaches the
     threshold (inclusive boundary)."""
     return expectation(op) >= threshold
+
+
+def may_pass(op: Opinion, threshold: float, u_min: float) -> bool:
+    """Whether ``op``, floored at ``u_min``, reaches ``threshold`` within
+    rounding. Averaging fusion's expectation is the 1/u-weighted mean of its
+    operands' (the plain mean of the dogmatic ones), so a fusion of floored
+    opinions can pass ``decide`` only if one of its operands passes here."""
+    return expectation(floor_uncertainty(op, u_min)) >= threshold - FUSION_BOUND_TOL
 
 
 def format_opinion(op: Opinion) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .messages import PairIndex
 from .mobility import TraceFrame
-from .opinions import Opinion
+from .opinions import FUSION_BOUND_TOL, Opinion
 
 
 class DegenerateDataError(ValueError):
@@ -86,12 +86,16 @@ def observe_period(
     observers: Sequence[int],
     config: PerceptConfig,
     rng: np.random.Generator,
-) -> dict[int, tuple[PairIndex, list[tuple[int, float]]]]:
+    request_threshold: float = 0.5,
+    u_min: float = 0.0,
+) -> dict[int, tuple[PairIndex, list[tuple[int, float]], tuple[tuple[int, int], ...]]]:
     """One period's percept for every observer in one vectorised pass.
 
     Maps each observer to its pair index, an opinion about every unordered
-    pair with both individuals within the observation radius, and its (id,
-    true distance) list of the other individuals within that radius. Each
+    pair with both individuals within the observation radius; its (id,
+    true distance) list of the other individuals within that radius; and
+    the pairs of its index whose opinion passes ``opinions.may_pass`` at the
+    protocol's ``request_threshold`` and ``u_min``, in index order. Each
     observer perturbs the positions and shoulder angles it sees with the
     configured sensor noise before the geometry features are computed, so
     the opinion about (i, j) does not depend on pair ordering. The noise of
@@ -131,13 +135,32 @@ def observe_period(
     ids = np.asarray(frame.ids)
     a, b = ids[cols[i_slot]], ids[cols[j_slot]]
     pairs = list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-    mass = (likelihood * (1.0 - u0)).tolist(), ((1.0 - likelihood) * (1.0 - u0)).tolist()
-    opinions = list(map(partial(tuple.__new__, Opinion), zip(*mass, repeat(u0), repeat(base_rate))))
+    belief, disbelief = likelihood * (1.0 - u0), (1.0 - likelihood) * (1.0 - u0)
+    opinions = list(
+        map(
+            partial(tuple.__new__, Opinion),
+            zip(belief.tolist(), disbelief.tolist(), repeat(u0), repeat(base_rate)),
+        )
+    )
+    # opinions.may_pass elementwise, floor_uncertainty's operations in its order
+    if u0 >= u_min:
+        expected = belief + base_rate * u0
+    else:
+        expected = belief * ((1.0 - u_min) / (belief + disbelief)) + base_rate * u_min
+    strong = expected >= request_threshold - FUSION_BOUND_TOL
+    strong_pairs = list(compress(pairs, strong.tolist()))
     neighbours = _neighbour_lists(frame, obs_idx, dist, within)
     ends = np.cumsum(np.bincount(pair_rows, minlength=len(obs_idx))).tolist()
+    strong_ends = np.cumsum(np.bincount(pair_rows[strong], minlength=len(obs_idx))).tolist()
     return {
-        observer: (dict(zip(pairs[start:end], opinions[start:end])), neighbours[r])
-        for r, (observer, start, end) in enumerate(zip(observers, [0] + ends, ends))
+        observer: (
+            dict(zip(pairs[start:end], opinions[start:end])),
+            neighbours[r],
+            tuple(strong_pairs[s_start:s_end]),
+        )
+        for r, (observer, start, end, s_start, s_end) in enumerate(
+            zip(observers, [0] + ends, ends, [0] + strong_ends, strong_ends)
+        )
     }
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .messages import HeadMsg, MemberMsg, Message, PairIndex, RequestMsg, ResponseMsg
 from .opinions import (
@@ -24,6 +24,7 @@ from .opinions import (
     expectation,
     floor_uncertainty,
     fuse_averaging_multi,
+    may_pass,
     vacuous,
 )
 
@@ -98,9 +99,21 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-# One emission is (message, unicast target or None for broadcast).
-Emission = list[tuple[Message, Optional[int]]]
-Report = tuple[float, PairIndex]
+class StrongPairs(NamedTuple):
+    """The pairs of one report whose opinion alone passes ``may_pass`` at
+    ``request_threshold`` and ``u_min``, the settings it was made under."""
+
+    request_threshold: float
+    u_min: float
+    pairs: tuple[tuple[int, int], ...]
+
+
+# One emission is (message, unicast target or None for broadcast); a member
+# message's also carries the StrongPairs of its index, which never goes on
+# the wire.
+Emission = list[tuple]
+# (stored_at, {(lo, hi): opinion}, the strong pairs of that index)
+Report = tuple[float, PairIndex, tuple[tuple[int, int], ...]]
 
 
 def sorted_pair(i: int, j: int) -> tuple[int, int]:
@@ -146,7 +159,7 @@ class Agent:
     head_id: int = -1
     members: set[int] = field(default_factory=set)
     human_members: set[int] = field(default_factory=set)
-    # sender -> its retained reports (stored_at, {(lo, hi): opinion}), oldest first
+    # sender -> its retained reports, oldest first
     reports: dict[int, list[Report]] = field(default_factory=dict)
     pending_request: Optional[tuple[int, float]] = None
     denial_cache: dict[int, float] = field(default_factory=dict)
@@ -177,11 +190,13 @@ class Agent:
     # ------------------------------------------------------------------
     # message dispatch
 
-    def handle_message(self, msg: Message, sender: int, now: float) -> Emission:
+    def handle_message(
+        self, msg: Message, sender: int, now: float, strong: Optional[StrongPairs] = None
+    ) -> Emission:
         if isinstance(msg, HeadMsg):
             return self.handle_head_msg(msg, sender, now)
         if isinstance(msg, MemberMsg):
-            self.handle_member_msg(msg, now)
+            self.handle_member_msg(msg, now, strong)
             return []
         if isinstance(msg, RequestMsg):
             return self.handle_request(msg, now)
@@ -198,9 +213,9 @@ class Agent:
         self._evict(now)
         if self.kind is AgentKind.OPINION_PROVIDER:
             return self._emit_member_msg(now, keep_alive_fallback=False)
-        if self.role is Role.MEMBER and self._lapsed(self.last_ch_received, now):
+        if self.head_id != self.id and self._lapsed(self.last_ch_received, now):
             self._become_singleton(now)
-        if self.role is Role.CLUSTER_HEAD:
+        if self.head_id == self.id:
             self.recompute_membership(now)
             if not self._beyond(self.config.period, now - self.last_head_emit):
                 self.last_head_emit = now
@@ -220,17 +235,25 @@ class Agent:
         for nid, (_, dist, _) in self.neighbors.items():
             if dist <= self.config.social_distance:
                 in_range.add(nid)
+        reports = self.reports.get(self.id, ())
         own: PairIndex = {}
-        for _, index in self.reports.get(self.id, ()):
+        for _, index, _ in reports:
             own.update(index)
         opinions = {p: own[p] for p in sorted(own) if p[0] in in_range or p[1] in in_range}
-        if not opinions:
-            if not keep_alive_fallback:
-                return []
+        if opinions:
+            # a pair is strong if the newest own report holding it says so
+            newest = {p for _, index, pairs in reports for p in pairs if own[p] is index[p]}
+            cfg = self.config
+            pairs = tuple(sorted(newest.intersection(opinions)))
+            strong = StrongPairs(cfg.request_threshold, cfg.u_min, pairs)
+        elif keep_alive_fallback:
             # No current evidence: send a vacuous opinion about the own
             # head tie so the keep-alive still reaches the head.
             opinions = {sorted_pair(self.id, self.head_id): vacuous(self.config.base_rate)}
-        return [(MemberMsg(self.id, self.head_id, opinions), None)]
+            strong = self.strong_pairs(opinions)
+        else:
+            return []
+        return [(MemberMsg(self.id, self.head_id, opinions), None, strong)]
 
     def _evict(self, now: float) -> None:
         beyond, period, ttl = self._beyond, self.config.period, self.config.opinion_ttl
@@ -272,29 +295,47 @@ class Agent:
     # opinion bookkeeping
 
     def apply_percept(
-        self, index: PairIndex, neighbors: Iterable[tuple[int, AgentKind, float]], now: float
+        self,
+        index: PairIndex,
+        neighbors: Iterable[tuple[int, AgentKind, float]],
+        now: float,
+        strong: Optional[StrongPairs] = None,
     ) -> None:
-        self.store_report(self.id, index, now)
+        self.store_report(self.id, index, now, strong)
         for nid, kind, dist in neighbors:
             if nid != self.id:
                 self.neighbors[nid] = (kind, dist, now)
 
-    def store_report(self, sender: int, index: PairIndex, now: float) -> None:
+    def store_report(
+        self, sender: int, index: PairIndex, now: float, strong: Optional[StrongPairs] = None
+    ) -> None:
         """Retain ``index``, a report of ``sender``, as it is and read-only: every
-        receiver of one broadcast holds the message's own index."""
+        receiver of one broadcast holds the message's own index. Beside it go
+        its strong pairs, those of ``strong`` if it was made under this agent's
+        settings, else computed here."""
         if index:
+            cfg = self.config
+            if strong is None or strong[:2] != (cfg.request_threshold, cfg.u_min):
+                strong = self.strong_pairs(index)
             reports = self.reports.setdefault(sender, [])
             # an older report whose pairs the new one all repeats is never read again
             while reports and reports[-1][1].keys() <= index.keys():
                 reports.pop()
-            reports.append((now, index))
+            reports.append((now, index, strong.pairs))
+
+    def strong_pairs(self, index: PairIndex) -> StrongPairs:
+        """The pairs of ``index`` whose opinion alone can carry a group
+        opinion over ``request_threshold`` (see ``opinions.may_pass``)."""
+        threshold, u_min = self.config.request_threshold, self.config.u_min
+        pairs = tuple(p for p, op in index.items() if may_pass(op, threshold, u_min))
+        return StrongPairs(threshold, u_min, pairs)
 
     def _pair_view(self, pair: tuple[int, int]) -> Optional[Opinion]:
         """Fuse each sender's newest retained opinion of ``pair``."""
         u_min = self.config.u_min
         floored = []
         for reports in self.reports.values():
-            for _, index in reversed(reports):
+            for _, index, _ in reversed(reports):
                 if pair in index:
                     floored.append(floor_uncertainty(index[pair], u_min))
                     break
@@ -328,7 +369,7 @@ class Agent:
         a member is retained iff its keep-alive is fresh, it has not
         claimed a different head, and the group opinion about it still
         passes the acceptance threshold."""
-        if self.role is not Role.CLUSTER_HEAD:
+        if self.head_id != self.id:
             return
         cfg = self.config
         keep = {self.id}
@@ -369,26 +410,41 @@ class Agent:
         # opinion providers are heads with neighbours that never ask
         if self.kind is not AgentKind.HUMAN_LINKED:
             return None
-        if self.role is not Role.CLUSTER_HEAD or self.pending_request is not None:
+        if self.head_id != self.id or self.pending_request is not None:
             return None
         cfg = self.config
+        members = self.members
         if self.next_candidate is not None:
             target = self.next_candidate
             self.next_candidate = None
-            if target != self.id and target not in self.members and not self._denied(target, now):
+            if target != self.id and target not in members and not self._denied(target, now):
                 return target
+        # A group opinion of the members about an outsider fuses floored views
+        # of their cross pairs, so it can pass only if a strong pair links the
+        # outsider to a member; no other neighbour is evaluated.
+        linked = set()
+        for reports in self.reports.values():
+            for _, _, pairs in reports:
+                for lo, hi in pairs:
+                    if lo in members:
+                        if hi not in members:
+                            linked.add(hi)
+                    elif hi in members:
+                        linked.add(lo)
         best: Optional[int] = None
         best_exp = -1.0
-        for nid in sorted(self.neighbors):
-            kind, dist, _ = self.neighbors[nid]
+        for nid in sorted(linked):
+            seen = self.neighbors.get(nid)
+            if seen is None:
+                continue
+            kind, dist, _ = seen
             if (
-                nid in self.members
-                or kind is not AgentKind.HUMAN_LINKED
+                kind is not AgentKind.HUMAN_LINKED
                 or dist > cfg.social_distance
                 or self._denied(nid, now)
             ):
                 continue
-            group = self.group_opinion(self.members, [nid], fill_missing=False)
+            group = self.group_opinion(members, [nid], fill_missing=False)
             if group is None or not decide(group, cfg.request_threshold):
                 continue
             exp = expectation(group)
@@ -443,7 +499,7 @@ class Agent:
                 # and demote in the same breath, orphaning members. Defer;
                 # the requester retries after its request times out.
                 return []
-        if self.role is Role.MEMBER:
+        if self.head_id != self.id:
             return [
                 (
                     ResponseMsg(
@@ -497,11 +553,15 @@ class Agent:
     # ------------------------------------------------------------------
     # broadcast processing
 
-    def handle_member_msg(self, msg: MemberMsg, now: float) -> None:
-        self.store_report(msg.sender, msg.opinions, now)
+    def handle_member_msg(
+        self, msg: MemberMsg, now: float, strong: Optional[StrongPairs] = None
+    ) -> None:
+        """Store the sender's report with ``strong``, the StrongPairs its sender
+        sent beside it (none for a message read back from a log)."""
+        self.store_report(msg.sender, msg.opinions, now, strong)
         if self.config.direct_to_head_routing:
             self.observed_heads[msg.sender] = (msg.head, now + self.config.head_knowledge_ttl)
-        if self.role is Role.CLUSTER_HEAD and msg.sender in self.members:
+        if self.head_id == self.id and msg.sender in self.members:
             if msg.head == self.id:
                 self.last_member_msgs[msg.sender] = now
             else:
@@ -514,13 +574,14 @@ class Agent:
         if self.kind is AgentKind.OPINION_PROVIDER:
             return []
         if msg.head == self.id:
-            if self.role is Role.MEMBER and sender == self.head_id:
+            if self.head_id != self.id and sender == self.head_id:
                 # Our departing head nominated us as its replacement.
                 self._assume_headship(msg, now)
                 self.last_head_emit = now
                 return [(self._head_msg(), None)]
             return []
-        if self.role is Role.MEMBER and msg.head == self.head_id:
+        # not our own id, so the head we are a member of
+        if msg.head == self.head_id:
             if self.id in msg.agent_members:
                 self.last_ch_received = now
                 self._adopt_view(msg)
@@ -528,7 +589,7 @@ class Agent:
                 self._become_singleton(now)
             return []
         if self.id in msg.agent_members:
-            if self.role is Role.MEMBER or self.members == {self.id}:
+            if self.head_id != self.id or self.members == {self.id}:
                 # A foreign head lists us: either a merge we joined through
                 # our former head or a handover relay. Adopt the agreed view.
                 self.head_id = msg.head
@@ -578,3 +639,26 @@ class Agent:
                 None,
             )
         ]
+
+
+def concerned_receivers(
+    msg: HeadMsg, receivers: tuple[int, ...], agents: dict[int, Agent]
+) -> tuple[int, ...]:
+    """The receivers of ``msg`` for which ``Agent.handle_head_msg`` is not a
+    no-op: its head, the agents it lists, the agents whose head it is, and
+    every agent that keeps head knowledge (``direct_to_head_routing``). The
+    third rule needs no exception for opinion providers: each heads itself.
+    A handler changes only its own agent, so one test per emission, made
+    when the emission is delivered, holds for all of its receivers."""
+    head, listed = msg.head, msg.agent_members
+    kept = []
+    for r in receivers:
+        agent = agents.get(r)
+        if agent is not None and (
+            agent.head_id == head
+            or r == head
+            or r in listed
+            or agent.config.direct_to_head_routing
+        ):
+            kept.append(r)
+    return tuple(kept)

@@ -547,6 +547,10 @@ class TestSweep:
             sweep(replay, "n_agents", [5])
 
 
+def mobility_section(**mobility):
+    return {"source": {"type": "synthetic", "mobility": mobility}}
+
+
 class TestCli:
     def write_config(self, tmp_path) -> Path:
         cfg = {
@@ -641,6 +645,14 @@ class TestCli:
                 {"source": {"type": "synthetic", "mobility": {"group_formation_rate": math.nan}}},
                 "group_formation_rate must be non-negative and finite",
             ),
+            (mobility_section(interaction_distance=math.nan), "interaction_distance must be"),
+            (mobility_section(angle_jitter_sigma=math.nan), "angle_jitter_sigma must be"),
+            (mobility_section(speed_levels=[0, math.nan, 1.4]), "speed_levels must be"),
+            (
+                mobility_section(speed_transitions=[[1.5, -0.5, 0], [0, 1, 0], [0, 0, 1]]),
+                "speed_transitions entries must lie in [0, 1]",
+            ),
+            (mobility_section(resting_duration_range=[math.nan, 60]), "resting_duration_range"),
         ],
     )
     def test_unusable_setting_exit_one(self, tmp_path, capsys, section, message):

@@ -7,7 +7,7 @@ import pytest
 
 from socsim import _kernels
 from socsim.mobility import TraceFrame
-from socsim.opinions import Opinion, expectation
+from socsim.opinions import Opinion, expectation, may_pass
 from socsim.percept import (
     PerceptConfig,
     _likelihood,
@@ -170,7 +170,8 @@ class TestObservePeriod:
         rng_ref = np.random.default_rng(seed + 100)
         assert list(batched) == observers
         for o in observers:
-            index, neighbours = batched[o]
+            index, neighbours, strong = batched[o]
+            assert strong == tuple(p for p, op in index.items() if may_pass(op, 0.5, 0.0))
             assert all(i < j for i, j in index)
             # in the same pair order too
             assert list(index.items()) == list(observe(frame, o, cfg, rng_one).items())
@@ -197,7 +198,7 @@ class TestObservePeriod:
         cfg = PerceptConfig(noise_sigma_pos=0.5, noise_sigma_angle=0.5)
         rng = np.random.default_rng(4)
         out = observe_period(frame, [1], cfg, rng)
-        assert out == {1: ({}, [])}
+        assert out == {1: ({}, [], ())}
         assert rng.random() == np.random.default_rng(4).random()
 
     def test_coincident_points_face_each_other(self):
@@ -205,6 +206,19 @@ class TestObservePeriod:
         [op] = observe_period(frame, [1, 2], PerceptConfig(), RNG)[2][0].values()
         expected = _likelihood(np.array([0.0]), np.array([1.0]), PerceptConfig())[0]
         assert op.belief == expected * (1.0 - PerceptConfig().base_uncertainty)
+
+    # at u_min 1 every opinion is vacuous, its expectation exactly the threshold 0.2
+    @pytest.mark.parametrize("threshold,u_min", [(0.5, 0.0), (0.3, 0.2), (0.6, 0.3), (0.2, 1.0)])
+    @pytest.mark.parametrize("base_uncertainty", [0.1, 0.6, 1.0])
+    def test_strong_pairs_match_scalar_rule(self, threshold, u_min, base_uncertainty):
+        # the numpy mask gives what opinions.may_pass gives pair by pair,
+        # with and without an uncertainty floor above the percept's own
+        cfg = PerceptConfig(base_uncertainty=base_uncertainty, noise_sigma_pos=0.3)
+        frame = random_frame(np.random.default_rng(5), 12, 6.0)
+        observers = sorted(frame.ids)
+        out = observe_period(frame, observers, cfg, np.random.default_rng(2), threshold, u_min)
+        for index, _, strong in out.values():
+            assert strong == tuple(p for p, op in index.items() if may_pass(op, threshold, u_min))
 
     def test_no_observers(self):
         assert observe_period(facing_pair(1.0), [], PerceptConfig(), RNG) == {}

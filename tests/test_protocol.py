@@ -12,6 +12,7 @@ from socsim.netsim import NetConfig, Network
 from socsim.opinions import (
     Opinion,
     decide,
+    expectation,
     floor_uncertainty,
     fuse_averaging_multi,
     vacuous,
@@ -24,6 +25,8 @@ from socsim.protocol import (
     NoMembersError,
     ProtocolConfig,
     Role,
+    StrongPairs,
+    concerned_receivers,
     fnv1a64,
     resolve_conflict,
 )
@@ -71,18 +74,19 @@ class TestTick:
             0.0,
         )
         emissions = agent.tick(0.5)
-        [(msg, target)] = emissions
+        [(msg, target, strong)] = emissions
         assert target is None
         assert isinstance(msg, MemberMsg)
         assert msg.head == 4
         assert sorted(msg.opinions) == [(1, 2), (1, 4), (2, 4)]
+        assert strong == StrongPairs(0.5, 0.0, ((1, 2), (1, 4)))
 
     def test_member_with_empty_store_sends_vacuous_keep_alive(self):
         agent = make_agent(1)
         agent.head_id = 4
         agent.members = {1, 4}
         agent.last_ch_received = 0.0
-        [(msg, _)] = agent.tick(0.5)
+        [(msg, _, _)] = agent.tick(0.5)
         assert isinstance(msg, MemberMsg)
         assert msg.opinions == {(1, 4): vacuous(agent.config.base_rate)}
 
@@ -430,8 +434,27 @@ class TestHandleMemberMsg:
     def test_provider_opinion_stored_but_never_member(self):
         agent = make_agent(5)
         agent.handle_member_msg(MemberMsg(100, 100, {(2, 3): STRONG}), 0.0)
-        assert agent.reports[100] == [(0.0, {(2, 3): STRONG})]
+        assert agent.reports[100] == [(0.0, {(2, 3): STRONG}, ((2, 3),))]
         assert 100 not in agent.members
+
+    @pytest.mark.parametrize("threshold,u_min", [(0.5, 0.0), (0.9, 0.0), (0.5, 0.6)])
+    def test_strong_pairs_trusted_only_under_equal_settings(self, threshold, u_min):
+        sender = make_agent(7)
+        sender.head_id, sender.members = 5, {5, 7}
+        sender.last_ch_received = 0.0
+        near = [(n, AgentKind.HUMAN_LINKED, 1.0) for n in (5, 8, 9)]
+        index = {(5, 7): STRONG, (7, 8): Opinion(0.6, 0.3, 0.1, 0.2), (7, 9): WEAK}
+        sender.apply_percept(index, near, 0.0)
+        [(msg, _, strong)] = sender.tick(0.5)
+        assert strong == StrongPairs(0.5, 0.0, ((5, 7), (7, 8)))
+        receiver = make_agent(5, request_threshold=threshold, u_min=u_min)
+        receiver.handle_message(msg, 7, 0.5, strong)
+        [(_, index, pairs)] = receiver.reports[7]
+        assert index is msg.opinions
+        assert pairs == receiver.strong_pairs(index).pairs
+        assert pairs == {(0.5, 0.0): ((5, 7), (7, 8)), (0.9, 0.0): ((5, 7),), (0.5, 0.6): ()}[
+            threshold, u_min
+        ]
 
     def test_observed_heads_updated(self):
         agent = make_agent(5, direct_to_head_routing=True)
@@ -741,7 +764,7 @@ class PairIndexedAgent(Agent):
         super().__post_init__()
         self.by_pair: dict[tuple[int, int], dict[int, tuple[Opinion, float]]] = {}
 
-    def store_report(self, sender, index, now):
+    def store_report(self, sender, index, now, strong=None):
         for pair, op in index.items():
             self.by_pair.setdefault(pair, {})[sender] = (op, now)
 
@@ -776,7 +799,7 @@ class PairIndexedAgent(Agent):
                 return []
             pair = (min(self.id, self.head_id), max(self.id, self.head_id))
             out = {pair: vacuous(self.config.base_rate)}
-        return [(MemberMsg(self.id, self.head_id, out), None)]
+        return [(MemberMsg(self.id, self.head_id, out), None, self.strong_pairs(out))]
 
 
 STORE_IDS = range(5)
@@ -900,3 +923,117 @@ class TestGroupOpinion:
         assert repr(agent.group_opinion(left, right, fill_missing)) == repr(
             generic_group_opinion(ref, left, right, fill_missing)
         )
+
+
+def unpruned_candidate(agent, now):
+    """The request phase's search without pruning: every eligible neighbour
+    in ascending id order, each with its group opinion fused in full."""
+    cfg = agent.config
+    best, best_exp = None, -1.0
+    for nid in sorted(agent.neighbors):
+        kind, dist, _ = agent.neighbors[nid]
+        if (
+            nid in agent.members
+            or kind is not AgentKind.HUMAN_LINKED
+            or dist > cfg.social_distance
+            or agent._denied(nid, now)
+        ):
+            continue
+        group = agent.group_opinion(agent.members, [nid], fill_missing=False)
+        if group is None or not decide(group, cfg.request_threshold):
+            continue
+        if expectation(group) > best_exp:
+            best, best_exp = nid, expectation(group)
+    return best
+
+
+CANDIDATE_IDS = range(7)
+
+
+@st.composite
+def bound_opinions(draw, threshold):
+    """One base rate throughout: generic and dogmatic opinions, and opinions
+    whose expectation b + 0.5 u is exactly ``threshold``."""
+    exact = [Opinion(threshold, 1.0 - threshold, 0.0, 0.5)]
+    for u in (0.2, 0.5):
+        b = threshold - 0.5 * u
+        assert b + 0.5 * u == threshold
+        exact.append(Opinion(b, 1.0 - b - u, u, 0.5))
+    return draw(
+        st.one_of(
+            opinions(base_rate=0.5),
+            st.floats(0.0, 1.0).map(lambda b: Opinion(b, 1.0 - b, 0.0, 0.5)),
+            st.sampled_from(exact),
+        )
+    )
+
+
+@st.composite
+def candidate_stores(draw, threshold):
+    pairs = [(lo, hi) for lo in CANDIDATE_IDS for hi in CANDIDATE_IDS if lo < hi]
+    report = st.dictionaries(st.sampled_from(pairs), bound_opinions(threshold), max_size=8)
+    return draw(st.lists(st.tuples(st.sampled_from([*CANDIDATE_IDS, 100]), report), max_size=8))
+
+
+class TestCandidateSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        threshold=st.sampled_from([0.3, 0.5, 0.7]),
+        u_min=st.sampled_from([0.0, 0.2, 0.6]),
+        data=st.data(),
+    )
+    def test_matches_unpruned_search(self, threshold, u_min, data):
+        agent = make_agent(1, request_threshold=threshold, u_min=u_min)
+        agent.members = set(data.draw(st.frozensets(st.sampled_from(CANDIDATE_IDS), max_size=3)))
+        agent.members.add(1)
+        # mostly eligible neighbours, so that most searches have a choice to make
+        kinds = st.sampled_from([AgentKind.HUMAN_LINKED] * 4 + list(AgentKind))
+        near = data.draw(
+            st.dictionaries(
+                st.sampled_from([n for n in CANDIDATE_IDS if n != 1]),
+                st.tuples(kinds, st.sampled_from([1.0, 1.0, 10.0, 20.0])),
+            )
+        )
+        agent.apply_percept({}, [(n, kind, dist) for n, (kind, dist) in near.items()], 0.0)
+        for sender, report in data.draw(candidate_stores(threshold)):
+            agent.store_report(sender, report, 0.0)
+        for denied in data.draw(st.frozensets(st.sampled_from(CANDIDATE_IDS), max_size=2)):
+            agent.denial_cache[denied] = 5.0
+        expected = unpruned_candidate(agent, 0.5)
+        assert agent.get_candidate(0.5) == expected
+
+
+class TestConcernedReceivers:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_dropped_receivers_are_left_unchanged(self, data):
+        ids = st.sampled_from(range(1, 7))
+        agents = {}
+        for aid in (1, 2, 3, 4):
+            kinds = [AgentKind.HUMAN_LINKED] * 2 + [AgentKind.OPINION_PROVIDER]
+            kind = data.draw(st.sampled_from(kinds))
+            routing = data.draw(st.sampled_from([False, False, True]))
+            agent = Agent(id=aid, config=ProtocolConfig(direct_to_head_routing=routing), kind=kind)
+            if kind is AgentKind.HUMAN_LINKED:
+                agent.head_id = data.draw(ids)
+            agent.members = set(data.draw(st.frozensets(ids))) | {aid, agent.head_id}
+            agent.human_members = agent.members | data.draw(st.frozensets(ids))
+            agent.pending_request = data.draw(st.one_of(st.none(), st.tuples(ids, st.just(0.0))))
+            agent.last_member_msgs = dict.fromkeys(data.draw(st.frozensets(ids)), 0.5)
+            seed_neighbor(agent, data.draw(ids.filter(lambda n: n != aid)))
+            agents[aid] = agent
+        listed = data.draw(st.frozensets(ids))
+        msg = HeadMsg(data.draw(ids), listed, listed | data.draw(st.frozensets(ids)))
+        sender = data.draw(ids)
+        receivers = (1, 2, 3, 4, 9)  # 9 is no agent
+        kept = concerned_receivers(msg, receivers, agents)
+        assert kept == tuple(r for r in receivers if r in kept)
+        assert 9 not in kept
+        for r, agent in agents.items():
+            if agent.config.direct_to_head_routing:
+                assert r in kept
+            if r in kept:
+                continue
+            before = repr(vars(agent))
+            assert agent.handle_head_msg(msg, sender, 1.0) == []
+            assert repr(vars(agent)) == before
