@@ -136,12 +136,8 @@ def observe_period(
     a, b = ids[cols[i_slot]], ids[cols[j_slot]]
     pairs = list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
     belief, disbelief = likelihood * (1.0 - u0), (1.0 - likelihood) * (1.0 - u0)
-    opinions = list(
-        map(
-            partial(tuple.__new__, Opinion),
-            zip(belief.tolist(), disbelief.tolist(), repeat(u0), repeat(base_rate)),
-        )
-    )
+    fields = zip(belief.tolist(), disbelief.tolist(), repeat(u0), repeat(base_rate))
+    opinions = list(map(partial(tuple.__new__, Opinion), fields))
     # opinions.may_pass elementwise, floor_uncertainty's operations in its order
     if u0 >= u_min:
         expected = belief + base_rate * u0
@@ -149,18 +145,13 @@ def observe_period(
         expected = belief * ((1.0 - u_min) / (belief + disbelief)) + base_rate * u_min
     strong = expected >= request_threshold - FUSION_BOUND_TOL
     strong_pairs = list(compress(pairs, strong.tolist()))
+    strong_ends = np.cumsum(np.bincount(pair_rows[strong], minlength=len(obs_idx))).tolist()
+    strong_lists = [tuple(strong_pairs[s:e]) for s, e in zip([0] + strong_ends, strong_ends)]
     neighbours = _neighbour_lists(frame, obs_idx, dist, within)
     ends = np.cumsum(np.bincount(pair_rows, minlength=len(obs_idx))).tolist()
-    strong_ends = np.cumsum(np.bincount(pair_rows[strong], minlength=len(obs_idx))).tolist()
     return {
-        observer: (
-            dict(zip(pairs[start:end], opinions[start:end])),
-            neighbours[r],
-            tuple(strong_pairs[s_start:s_end]),
-        )
-        for r, (observer, start, end, s_start, s_end) in enumerate(
-            zip(observers, [0] + ends, ends, [0] + strong_ends, strong_ends)
-        )
+        observer: (dict(zip(pairs[start:end], opinions[start:end])), neighbours[r], strong_lists[r])
+        for r, (observer, start, end) in enumerate(zip(observers, [0] + ends, ends))
     }
 
 
