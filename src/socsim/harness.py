@@ -248,8 +248,11 @@ def ingest_trace(
 
 def read_situations(path: Path) -> dict[float, list[frozenset[int]]]:
     """Read a ``time,situation_id,member_ids`` file (ground truth or
-    protocol partitions) into the member sets listed at each time."""
+    protocol partitions) into the member sets listed at each time, one
+    object per distinct set. An agent listed twice at one time is an error."""
     situations: dict[float, list[frozenset[int]]] = {}
+    listed: dict[float, set[int]] = {}
+    distinct: dict[frozenset[int], frozenset[int]] = {}
     for lineno, parts in _csv_rows(path, TRUTH_HEADER):
         try:
             t = float(parts[0])
@@ -260,7 +263,14 @@ def read_situations(path: Path) -> dict[float, list[frozenset[int]]]:
             raise SchemaError(f"non-finite time {parts[0]!r}", line=lineno)
         if not members:
             raise SchemaError("empty situation member list", line=lineno)
-        situations.setdefault(t, []).append(members)
+        seen = listed.setdefault(t, set())
+        if not seen.isdisjoint(members):
+            raise SchemaError(
+                f"{path}: agents {sorted(seen & members)} are in two situations at t={t!r}",
+                line=lineno,
+            )
+        seen |= members
+        situations.setdefault(t, []).append(distinct.setdefault(members, members))
     return situations
 
 
@@ -306,15 +316,21 @@ def _align_truth(
     situations: dict[float, list[frozenset[int]]], frames: Sequence[TraceFrame]
 ) -> GroundTruth:
     """Each frame's situations at the nearest truth time, with the frame's
-    agents that no situation lists added as singletons."""
+    agents that no situation lists added as singletons. Frames share their
+    blocks: one singleton per agent, and the previous frame's tuple when
+    nothing changed."""
     times = sorted(situations)
     nearest = _nearest(times, [f.time for f in frames]) if times else ()
+    singletons: dict[int, frozenset[int]] = {}
     truth: GroundTruth = []
     for k, frame in enumerate(frames):
         blocks = list(situations[times[nearest[k]]]) if times else []
         covered = set().union(*blocks)
-        blocks.extend(frozenset((a,)) for a in frame.ids if a not in covered)
-        truth.append(tuple(blocks))
+        blocks.extend(
+            singletons.setdefault(a, frozenset((a,))) for a in frame.ids if a not in covered
+        )
+        frame_truth = tuple(blocks)
+        truth.append(truth[-1] if truth and truth[-1] == frame_truth else frame_truth)
     return truth
 
 
@@ -322,11 +338,11 @@ def write_trace(path: Path, frames: Sequence[TraceFrame]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
         for frame in frames:
-            for k, aid in enumerate(frame.ids):
-                fh.write(
-                    f"{frame.time!r},{aid},{float(frame.pos[k, 0])!r},"
-                    f"{float(frame.pos[k, 1])!r},{float(frame.angle[k])!r}\n"
-                )
+            t = repr(frame.time)
+            fh.writelines(
+                f"{t},{aid},{x!r},{y!r},{angle!r}\n"
+                for aid, (x, y), angle in zip(frame.ids, frame.pos.tolist(), frame.angle.tolist())
+            )
 
 
 def write_ground_truth(path: Path, frames: Sequence[TraceFrame], truth: GroundTruth) -> None:
@@ -441,14 +457,18 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
         if k % sample_every == 0:
             universe = frozenset(frames[frame_idx].ids)
             protocol_partition = extract_partition(agents, network, universe, scenario.protocol)
+            # a sample equal to the previous one keeps its object
+            if partitions and partitions[-1][1] == protocol_partition:
+                protocol_partition = partitions[-1][1]
             partitions.append((now, protocol_partition))
             truth_partition = (
                 None if truth is None else Partition(truth[frame_idx]).restricted(universe)
             )
             metrics_rows.append(_score(now, truth_partition, protocol_partition))
-            role_samples.append(
-                (now, {aid: (a.role, a.head_id) for aid, a in sorted(agents.items())})
-            )
+            roles = {aid: (a.role, a.head_id) for aid, a in sorted(agents.items())}
+            if role_samples and role_samples[-1][1] == roles:
+                roles = role_samples[-1][1]
+            role_samples.append((now, roles))
 
     summary = {"seed": scenario.seed, **_summarize(metrics_rows)}
     result = RunResult(scenario, metrics_rows, partitions, network, summary, role_samples)

@@ -136,6 +136,9 @@ def generate(config: MobilityConfig, duration: float, dt: float) -> tuple[list[T
     frames: list[TraceFrame] = []
     truth: GroundTruth = []
     ids = tuple(range(n))
+    # truth frames share their blocks: one singleton per agent, each group's
+    # own member set, and the previous frame's tuple when nothing changed
+    singletons = [frozenset((aid,)) for aid in ids]
     alpha = config.gauss_markov_alpha
     noise_gain = math.sqrt(max(0.0, 1.0 - alpha * alpha))
     steps = int(round(duration / dt))
@@ -255,12 +258,11 @@ def generate(config: MobilityConfig, duration: float, dt: float) -> tuple[list[T
         for gid in sorted(groups):
             grp = groups[gid]
             if grp.active or config.label_waiting_phase:
-                blocks.append(frozenset(grp.members))
+                blocks.append(grp.members)
                 grouped |= grp.members
-        for aid in ids:
-            if aid not in grouped:
-                blocks.append(frozenset((aid,)))
-        truth.append(tuple(blocks))
+        blocks.extend(singletons[aid] for aid in ids if aid not in grouped)
+        frame_truth = tuple(blocks)
+        truth.append(truth[-1] if truth and truth[-1] == frame_truth else frame_truth)
 
     return frames, truth
 

@@ -71,15 +71,19 @@ class DeliveryLog:
     neighbor_counts: dict[int, dict[int, int]] = field(default_factory=dict)
 
     def write(self, path) -> None:
-        body = "".join(entry.wire_line() + "\n" for entry in self.entries).encode("utf-8")
+        """Write the wire lines. A plain log is streamed line by line; a gzip
+        log compresses the whole body in one call, because zlib's output
+        depends on how its input is chunked and the bytes must stay the same."""
+        lines = (entry.wire_line() + "\n" for entry in self.entries)
         if str(path).endswith(".gz"):
+            body = "".join(lines).encode("utf-8")
             # fixed mtime and empty name keep the output reproducible
             with open(path, "wb") as raw:
                 with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as fh:
                     fh.write(body)
         else:
-            with open(path, "wb") as fh:
-                fh.write(body)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(lines)
 
 
 @dataclass(frozen=True)
@@ -171,10 +175,18 @@ class Network:
         receivers = np.asarray(ids, dtype=np.int64)[np.nonzero(within)[1]].tolist()
         counts = within.sum(axis=1)
         ends = np.cumsum(counts).tolist()
-        self._receivers = {
-            aid: tuple(receivers[start:end]) for aid, start, end in zip(ids, [0] + ends, ends)
-        }
-        self.log.neighbor_counts[self._step_no] = dict(zip(ids, counts.tolist()))
+        # a receiver tuple or count table equal to the previous step's keeps
+        # its object: log entries hold the tuples, and the counts stay all run
+        previous = self._receivers
+        table = {}
+        for aid, start, end in zip(ids, [0] + ends, ends):
+            now_in_range = tuple(receivers[start:end])
+            before = previous.get(aid)
+            table[aid] = before if before == now_in_range else now_in_range
+        self._receivers = table
+        counts_now = dict(zip(ids, counts.tolist()))
+        before = self.log.neighbor_counts.get(self._step_no - 1)
+        self.log.neighbor_counts[self._step_no] = before if before == counts_now else counts_now
 
     def _emit(self, now: float, sender: int, emissions, deliver_step: Optional[int] = None) -> None:
         cfg = self.config

@@ -157,8 +157,12 @@ class Agent:
     config: ProtocolConfig
     kind: AgentKind = AgentKind.HUMAN_LINKED
     head_id: int = -1
-    members: set[int] = field(default_factory=set)
-    human_members: set[int] = field(default_factory=set)
+    # Replaced, never changed in place: the messages an agent sends hold these
+    # very sets. Equal sets share one object, so an unchanged cluster sends
+    # the same set each period, and without ``detach_extension`` the two are
+    # one object.
+    members: frozenset[int] = frozenset()
+    human_members: frozenset[int] = frozenset()
     # sender -> its retained reports, oldest first
     reports: dict[int, list[Report]] = field(default_factory=dict)
     pending_request: Optional[tuple[int, float]] = None
@@ -176,10 +180,9 @@ class Agent:
     def __post_init__(self) -> None:
         if self.head_id < 0:
             self.head_id = self.id
-        if not self.members:
-            self.members = {self.id}
-        if not self.human_members:
-            self.human_members = set(self.members)
+        self.members = frozenset(self.members or (self.id,))
+        humans = frozenset(self.human_members)
+        self.human_members = humans if humans and humans != self.members else self.members
         self.membership_since.setdefault(self.id, 0.0)
 
     @property
@@ -224,11 +227,7 @@ class Agent:
         return self._emit_member_msg(now, keep_alive_fallback=True)
 
     def _head_msg(self) -> HeadMsg:
-        return HeadMsg(
-            head=self.id,
-            agent_members=frozenset(self.members),
-            human_members=frozenset(self.human_members),
-        )
+        return HeadMsg(head=self.id, agent_members=self.members, human_members=self.human_members)
 
     def _emit_member_msg(self, now: float, keep_alive_fallback: bool) -> Emission:
         in_range = {self.id}
@@ -284,8 +283,7 @@ class Agent:
 
     def _become_singleton(self, now: float) -> None:
         self.head_id = self.id
-        self.members = {self.id}
-        self.human_members = {self.id}
+        self.members = self.human_members = frozenset((self.id,))
         self.pending_request = None
         self.last_member_msgs.clear()
         self.membership_since = {self.id: now}
@@ -383,23 +381,30 @@ class Agent:
             group = self.group_opinion([m], self.members, fill_missing=True)
             if group is not None and decide(group, cfg.accept_threshold):
                 keep.add(m)
-        self.members = keep
         self.inconsistent_members.clear()
         for gone in [m for m in self.membership_since if m not in keep]:
             del self.membership_since[gone]
         for gone in [m for m in self.last_member_msgs if m not in keep]:
             del self.last_member_msgs[gone]
+        members = humans = frozenset(keep)
         if cfg.detach_extension:
-            humans = set(keep)
             for nid, (kind, _, _) in self.neighbors.items():
-                if kind is not AgentKind.HUMAN_WITHOUT_AGENT or nid in humans:
+                if kind is not AgentKind.HUMAN_WITHOUT_AGENT or nid in members:
                     continue
                 group = self.group_opinion([nid], keep, fill_missing=True)
                 if group is not None and decide(group, cfg.accept_threshold):
-                    humans.add(nid)
+                    humans = humans | {nid}
+        self._set_members(members, humans)
+
+    def _set_members(self, members: frozenset[int], humans: frozenset[int]) -> None:
+        """Replace the member sets. A set equal to the one it replaces keeps
+        the old object, and human members equal to the members are that object."""
+        if members != self.members:
+            self.members = members
+        if humans == self.members:
+            self.human_members = self.members
+        elif humans != self.human_members:
             self.human_members = humans
-        else:
-            self.human_members = set(keep)
 
     # ------------------------------------------------------------------
     # request sending (cluster heads)
@@ -468,7 +473,7 @@ class Agent:
         if self.pending_request is not None:
             raise BusyPendingError(f"agent {self.id} already awaits {self.pending_request[0]}")
         self.pending_request = (target, now)
-        return [(RequestMsg(head=self.id, members=frozenset(self.members)), target)]
+        return [(RequestMsg(head=self.id, members=self.members), target)]
 
     # ------------------------------------------------------------------
     # request processing
@@ -506,7 +511,7 @@ class Agent:
                         self.id,
                         accepted=False,
                         forward_to=self.head_id,
-                        forward_members=frozenset(self.members),
+                        forward_members=self.members,
                     ),
                     req.head,
                 )
@@ -516,8 +521,7 @@ class Agent:
             for m in newcomers:
                 self.last_member_msgs.setdefault(m, now)
                 self.membership_since.setdefault(m, now)
-            self.members |= newcomers
-            self.human_members |= newcomers
+            self._set_members(self.members | newcomers, self.human_members | newcomers)
             return [(ResponseMsg(self.id, accepted=True), req.head)]
         return [(ResponseMsg(self.id, accepted=False), req.head)]
 
@@ -532,8 +536,8 @@ class Agent:
         cfg = self.config
         if res.accepted:
             self.head_id = res.responder
-            self.members.add(res.responder)
-            self.human_members.add(res.responder)
+            joined = {res.responder}
+            self._set_members(self.members | joined, self.human_members | joined)
             self.last_ch_received = now
             self.next_candidate = None
             self.last_member_msgs.clear()
@@ -600,9 +604,15 @@ class Agent:
         return []
 
     def _adopt_view(self, msg: HeadMsg) -> None:
-        self.members = set(msg.agent_members)
-        self.members.add(self.id)
-        self.human_members = set(msg.human_members) | self.members
+        """Take over the message's view, sharing its sets where they list this
+        agent already."""
+        members = msg.agent_members
+        if self.id not in members:
+            members = members | {self.id}
+        humans = msg.human_members
+        if not members <= humans:
+            humans = humans | members
+        self._set_members(members, humans)
 
     def _assume_headship(self, msg: HeadMsg, now: float) -> None:
         self.head_id = self.id
@@ -633,8 +643,8 @@ class Agent:
             (
                 HeadMsg(
                     head=replacement,
-                    agent_members=frozenset(self.members - {self.id}),
-                    human_members=frozenset(self.human_members - {self.id}),
+                    agent_members=self.members - {self.id},
+                    human_members=self.human_members - {self.id},
                 ),
                 None,
             )

@@ -183,6 +183,42 @@ class TestIngest:
             compare_partition_files(path, path)
         assert err.value.line == 3
 
+    def test_agent_in_two_situations_rejected_with_line(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        # 2 is listed twice at t=0.5; the same sets at different times are fine
+        path.write_text(
+            "time,situation_id,member_ids\n0.0,0,1;2\n0.0,1,3\n0.5,0,1;2\n0.5,1,3;4\n0.5,2,2;5\n"
+        )
+        overlap = r"agents \[2\] are in two situations at t=0\.5"
+        with pytest.raises(SchemaError, match=overlap) as err:
+            read_situations(path)
+        assert err.value.line == 6
+        assert str(path) in str(err.value)
+
+    def test_equal_member_sets_are_one_object(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text(
+            "time,situation_id,member_ids\n0.0,0,1;2\n0.0,1,3\n0.5,0,2;1\n0.5,1,3;4\n1.0,0,3\n"
+        )
+        situations = read_situations(path)
+        assert situations == {
+            0.0: [{1, 2}, {3}],
+            0.5: [{1, 2}, {3, 4}],
+            1.0: [{3}],
+        }
+        assert situations[0.5][0] is situations[0.0][0]
+        assert situations[1.0][0] is situations[0.0][1]
+
+    def test_replayed_truth_shares_blocks(self, tmp_path):
+        frames, truth = generate(MobilityConfig(n_agents=5, seed=8), 20.0, 0.5)
+        write_trace(tmp_path / "trace.csv", frames)
+        write_ground_truth(tmp_path / "truth.csv", frames, truth)
+        _, replayed = ingest_trace(tmp_path / "trace.csv", tmp_path / "truth.csv")
+        blocks = {}
+        for frame_truth in replayed:
+            for block in frame_truth:
+                assert blocks.setdefault(block, block) is block
+
 
 class TestNearest:
     @given(
@@ -720,6 +756,41 @@ class TestCli:
             code = cli.main(["metrics", "--truth", str(truth), "--predicted", str(predicted)])
             assert code == 1
         assert capsys.readouterr().err.count("line 2") == 2
+
+    def test_agent_in_two_situations_exit_one(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("time,situation_id,member_ids\n0.0,0,1;2\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,situation_id,member_ids\n0.0,0,1;2\n0.0,1,2;3\n")
+        for truth, predicted in ((bad, good), (good, bad)):
+            code = cli.main(["metrics", "--truth", str(truth), "--predicted", str(predicted)])
+            assert code == 1
+        err = capsys.readouterr().err
+        assert err.count(f"config error: line 3: {bad}: agents [2] are in two situations") == 2
+
+    def test_replay_truth_with_agent_in_two_situations_exit_one(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        assert cli.main(
+            ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "syn")]
+        ) == 0
+        capsys.readouterr()
+        truth = tmp_path / "syn" / "ground_truth.csv"
+        lines = truth.read_text().splitlines()
+        lines.insert(3, "0.0,9,0;1")
+        truth.write_text("\n".join(lines) + "\n")
+        code = cli.main(
+            [
+                "replay",
+                "--config", str(config),
+                "--trace", str(tmp_path / "syn" / "trace.csv"),
+                "--ground-truth", str(truth),
+                "--out-dir", str(tmp_path / "rep"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"line 4: {truth}: agents [0, 1] are in two situations at t=0.0" in err
+        assert not (tmp_path / "rep").exists()
 
     def test_seed_override(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

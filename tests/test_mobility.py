@@ -20,6 +20,17 @@ class TestGenerate:
         frames, truth = generate(cfg, duration=30.0, dt=0.5)
         assert all(blocks == (frozenset({0}),) for blocks in truth)
 
+    def test_truth_frames_share_blocks(self):
+        cfg = MobilityConfig(n_agents=6, seed=11, group_formation_rate=0.05)
+        _, truth = generate(cfg, duration=120.0, dt=0.5)
+        assert any(len(block) > 1 for blocks in truth for block in blocks)
+        first = {}
+        for blocks in truth:
+            for block in blocks:
+                assert first.setdefault(block, block) is block
+        # a frame equal to the one before it is that frame's tuple
+        assert all(a is b for a, b in zip(truth, truth[1:]) if a == b)
+
     def test_zero_agents(self):
         cfg = MobilityConfig(n_agents=0, seed=0)
         frames, truth = generate(cfg, duration=5.0, dt=0.5)

@@ -1,6 +1,8 @@
 """Network simulator tests: range, loss, determinism, message bound."""
 
+import gzip
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +215,78 @@ class TestScheduler:
         # deliveries as the log records them: a head message reaches only the
         # handlers it concerns, so handler calls are fewer
         assert sum(len(e.delivered_to) for e in fifo[1]) > 50
+
+
+def run_triad(steps=12, **proto_kwargs):
+    """A settled three-agent cluster in range of each other, without loss."""
+    _, agents, positions = make_world(
+        [1, 2, 3], {1: (0.0, 0.0), 2: (4.0, 0.0), 3: (0.0, 4.0)}, **proto_kwargs
+    )
+    net = Network(NetConfig())
+    for k in range(steps):
+        feed_mutual_percept(agents, positions, float(k))
+        net.step(float(k), positions, agents)
+    return agents, net
+
+
+class TestSharing:
+    def test_unchanged_cluster_sends_one_member_set(self):
+        agents, net = run_triad()
+        assert agents[1].members == {1, 2, 3}
+        sent = [e.message for e in net.log.entries if isinstance(e.message, HeadMsg)]
+        assert all(m.agent_members is m.human_members for m in sent)
+        settled = [m for m in sent if m.head == 1 and m.agent_members == {1, 2, 3}]
+        assert len(settled) >= 5
+        assert all(m.agent_members is settled[0].agent_members for m in settled)
+        assert settled[-1].agent_members is agents[1].members
+        # the member adopted the head's own set
+        assert agents[2].members is agents[1].members
+
+    def test_detached_humans_equal_to_members_are_that_set(self):
+        agents, net = run_triad(detach_extension=True)
+        head = agents[1]
+        assert head.human_members == head.members
+        assert head.human_members is head.members
+
+    def test_unchanged_range_keeps_receivers_and_counts(self):
+        _, net = run_triad(steps=3)
+        broadcasts = [e for e in net.log.entries if e.sender == 1 and e.target is None]
+        assert len({id(e.delivered_to) for e in broadcasts}) == 1
+        counts = list(net.log.neighbor_counts.values())
+        assert all(c is counts[0] for c in counts)
+
+
+class TestWrite:
+    def big_log(self):
+        _, net = run_triad()
+        log = DeliveryLog(net.log.entries * 400, net.log.neighbor_counts)
+        body = "".join(e.wire_line() + "\n" for e in log.entries).encode("utf-8")
+        return log, body
+
+    def test_plain_log_is_the_wire_lines(self, tmp_path):
+        log, body = self.big_log()
+        log.write(tmp_path / "messages.log")
+        assert (tmp_path / "messages.log").read_bytes() == body
+
+    def test_gzip_log_is_one_shot_compression(self, tmp_path):
+        log, body = self.big_log()
+        log.write(tmp_path / "messages.log.gz")
+        expected = tmp_path / "expected.gz"
+        with open(expected, "wb") as raw:
+            with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as fh:
+                fh.write(body)
+        assert (tmp_path / "messages.log.gz").read_bytes() == expected.read_bytes()
+
+    def test_plain_write_streams(self, tmp_path):
+        log, body = self.big_log()
+        assert len(body) > 500_000
+        tracemalloc.start()
+        try:
+            log.write(tmp_path / "messages.log")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "messages.log").stat().st_size
 
 
 class TestRangeWarning:

@@ -55,7 +55,7 @@ class TestTick:
     def test_member_reverts_after_silent_head(self):
         agent = make_agent(2)
         agent.head_id = 9
-        agent.members = {2, 9}
+        agent.members = frozenset({2, 9})
         agent.last_ch_received = 0.0
         agent.tick(1.0)
         assert agent.role is Role.MEMBER  # exactly one period: still fine
@@ -66,7 +66,7 @@ class TestTick:
     def test_member_emits_stored_in_range_pairs(self):
         agent = make_agent(1)
         agent.head_id = 4
-        agent.members = {1, 4}
+        agent.members = frozenset({1, 4})
         agent.last_ch_received = 0.0
         agent.apply_percept(
             {(1, 4): STRONG, (1, 2): STRONG, (2, 4): WEAK},
@@ -84,7 +84,7 @@ class TestTick:
     def test_member_with_empty_store_sends_vacuous_keep_alive(self):
         agent = make_agent(1)
         agent.head_id = 4
-        agent.members = {1, 4}
+        agent.members = frozenset({1, 4})
         agent.last_ch_received = 0.0
         [(msg, _, _)] = agent.tick(0.5)
         assert isinstance(msg, MemberMsg)
@@ -125,7 +125,7 @@ class TestShortPeriodTimeouts:
         for k in self.STEPS:
             agent = make_agent(2, period=0.1)
             agent.head_id = 9
-            agent.members = {2, 9}
+            agent.members = frozenset({2, 9})
             agent.last_ch_received = k * 0.1
             agent.tick((k + 1) * 0.1)
             assert agent.role is Role.MEMBER, k
@@ -140,7 +140,7 @@ class TestShortPeriodTimeouts:
     def test_keep_alive_fresh_for_one_period(self):
         for k in self.STEPS:
             agent = make_agent(5, period=0.1)
-            agent.members = {5, 7}
+            agent.members = frozenset({5, 7})
             agent.last_member_msgs[7] = k * 0.1
             agent.store_report(5, {(5, 7): STRONG}, k * 0.1)
             agent.recompute_membership((k + 1) * 0.1)
@@ -274,7 +274,7 @@ class TestSendRequest:
 
     def test_request_carries_all_members(self):
         agent = make_agent(5)
-        agent.members = {5, 7}
+        agent.members = frozenset({5, 7})
         [(msg, _)] = agent.send_request(9, 0.0)
         assert msg.members == frozenset({5, 7})
 
@@ -289,7 +289,7 @@ class TestHandleRequest:
     def test_member_forwards_to_head(self):
         agent = make_agent(7)
         agent.head_id = 5
-        agent.members = {5, 7}
+        agent.members = frozenset({5, 7})
         [(msg, target)] = agent.handle_request(RequestMsg(2, frozenset({2})), 0.0)
         assert target == 2
         assert msg == ResponseMsg(7, False, forward_to=5, forward_members=frozenset({5, 7}))
@@ -323,7 +323,7 @@ class TestCheckForSocialSituation:
         # aggregation precedes the threshold: one mild dissent among four
         # confident supporters does not block the situation
         agent = make_agent(1, accept_threshold=0.5)
-        agent.members = {1, 2, 3, 4}
+        agent.members = frozenset({1, 2, 3, 4})
         strong = Opinion(0.9, 0.05, 0.05, 0.2)
         dissent = Opinion(0.2, 0.7, 0.1, 0.2)
         for m in (1, 2, 3, 4):
@@ -417,14 +417,14 @@ class TestHandleResponse:
 class TestHandleMemberMsg:
     def test_keep_alive_refresh(self):
         agent = make_agent(5)
-        agent.members = {5, 7}
+        agent.members = frozenset({5, 7})
         agent.last_member_msgs[7] = 0.0
         agent.handle_member_msg(MemberMsg(7, 5, {(5, 7): STRONG}), 3.0)
         assert agent.last_member_msgs[7] == 3.0
 
     def test_false_head_claim_marks_inconsistent(self):
         agent = make_agent(5)
-        agent.members = {5, 7}
+        agent.members = frozenset({5, 7})
         agent.last_member_msgs[7] = 0.0
         agent.handle_member_msg(MemberMsg(7, 4, {(5, 7): STRONG}), 0.5)
         assert 7 in agent.inconsistent_members
@@ -465,7 +465,7 @@ class TestHandleMemberMsg:
 class TestRecomputeMembership:
     def make_head_with_member(self, opinion=STRONG):
         agent = make_agent(5)
-        agent.members = {5, 7}
+        agent.members = frozenset({5, 7})
         agent.last_member_msgs[7] = 0.0
         agent.membership_since[7] = 0.0
         agent.store_report(5, {(5, 7): opinion}, 0.0)
@@ -488,7 +488,7 @@ class TestRecomputeMembership:
 
     def test_detach_extension_adds_agentless_humans(self):
         agent = make_agent(5, detach_extension=True)
-        agent.members = {5, 7}
+        agent.members = frozenset({5, 7})
         agent.last_member_msgs[7] = 0.0
         agent.store_report(5, {(5, 7): STRONG}, 0.0)
         seed_neighbor(agent, 30, kind=AgentKind.HUMAN_WITHOUT_AGENT, opinion=None)
@@ -503,7 +503,7 @@ class TestHandleHeadMsg:
     def make_member(self):
         agent = make_agent(7)
         agent.head_id = 5
-        agent.members = {5, 7}
+        agent.members = frozenset({5, 7})
         agent.last_ch_received = 0.0
         return agent
 
@@ -533,7 +533,7 @@ class TestHandleHeadMsg:
             agent = self.make_member()
         elif kind == "head":
             agent = make_agent(7)
-            agent.members = {7, 8}
+            agent.members = frozenset({7, 8})
         else:
             agent = make_agent(7, kind=AgentKind.OPINION_PROVIDER)
         seed_neighbor(agent, 3)
@@ -550,7 +550,7 @@ class TestHandleHeadMsg:
 
     def test_multi_member_head_ignores_foreign_claim(self):
         agent = make_agent(5)
-        agent.members = {5, 7}
+        agent.members = frozenset({5, 7})
         agent.handle_head_msg(HeadMsg(2, frozenset({2, 5}), frozenset({2, 5})), 2, 1.0)
         assert agent.role is Role.CLUSTER_HEAD
         assert agent.head_id == 5
@@ -623,8 +623,8 @@ class TestMutualRequestConflict:
 class TestHandover:
     def make_cluster_head(self, stable=True):
         agent = make_agent(1, stable_handover=stable)
-        agent.members = {1, 2, 3}
-        agent.human_members = {1, 2, 3}
+        agent.members = frozenset({1, 2, 3})
+        agent.human_members = frozenset({1, 2, 3})
         agent.membership_since.update({2: 0.0, 3: 5.0})
         return agent
 
@@ -984,8 +984,7 @@ class TestCandidateSearch:
     )
     def test_matches_unpruned_search(self, threshold, u_min, data):
         agent = make_agent(1, request_threshold=threshold, u_min=u_min)
-        agent.members = set(data.draw(st.frozensets(st.sampled_from(CANDIDATE_IDS), max_size=3)))
-        agent.members.add(1)
+        agent.members = data.draw(st.frozensets(st.sampled_from(CANDIDATE_IDS), max_size=3)) | {1}
         # mostly eligible neighbours, so that most searches have a choice to make
         kinds = st.sampled_from([AgentKind.HUMAN_LINKED] * 4 + list(AgentKind))
         near = data.draw(
@@ -1016,7 +1015,7 @@ class TestConcernedReceivers:
             agent = Agent(id=aid, config=ProtocolConfig(direct_to_head_routing=routing), kind=kind)
             if kind is AgentKind.HUMAN_LINKED:
                 agent.head_id = data.draw(ids)
-            agent.members = set(data.draw(st.frozensets(ids))) | {aid, agent.head_id}
+            agent.members = data.draw(st.frozensets(ids)) | {aid, agent.head_id}
             agent.human_members = agent.members | data.draw(st.frozensets(ids))
             agent.pending_request = data.draw(st.one_of(st.none(), st.tuples(ids, st.just(0.0))))
             agent.last_member_msgs = dict.fromkeys(data.draw(st.frozensets(ids)), 0.5)
@@ -1037,3 +1036,72 @@ class TestConcernedReceivers:
             before = repr(vars(agent))
             assert agent.handle_head_msg(msg, sender, 1.0) == []
             assert repr(vars(agent)) == before
+
+
+def member_sets(msg):
+    """Each member set a message carries, as a sorted tuple."""
+    names = ("agent_members", "human_members", "members", "forward_members")
+    return {n: tuple(sorted(getattr(msg, n))) for n in names if getattr(msg, n, None) is not None}
+
+
+class TestMembershipAliasing:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        detach=st.booleans(),
+        handover=st.booleans(),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.sampled_from(range(2, 7)),
+                st.sampled_from(range(2, 7)),
+                st.frozensets(st.sampled_from(range(1, 7)), max_size=3),
+                st.booleans(),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_sent_sets_never_change(self, detach, handover, steps):
+        # Members and messages share frozen sets: whatever the agent does
+        # afterwards, a set it sent or received keeps its value.
+        agent = make_agent(1, detach_extension=detach, stable_handover=handover)
+        seen = []
+
+        def record(msgs):
+            seen.extend((msg, member_sets(msg)) for msg in msgs)
+
+        for k, (action, a, b, ids, flag) in enumerate(steps):
+            now = k * 0.5
+            if action == 0:
+                record(msg for msg, *_ in agent.tick(now))
+            elif action == 1:
+                kind = AgentKind.HUMAN_WITHOUT_AGENT if flag else AgentKind.HUMAN_LINKED
+                seed_neighbor(agent, a, kind=kind, now=now, opinion=STRONG if b > 2 else WEAK)
+            elif action == 2:
+                req = RequestMsg(a, ids | {a})
+                record([req])
+                record(msg for msg, _ in agent.handle_request(req, now))
+            elif action == 3:
+                pending = agent.pending_request
+                responder = pending[0] if flag and pending else a
+                res = ResponseMsg(responder, b > 3, None if b > 3 else b, ids or None)
+                record([res])
+                agent.handle_response(res, now)
+            elif action == 4:
+                # from the agent's head, naming it as the new head when flag
+                head = agent.id if flag else a
+                msg = HeadMsg(head, ids | {head}, ids | {head, b})
+                record([msg])
+                record(out for out, _ in agent.handle_head_msg(msg, agent.head_id, now))
+            elif action == 5:
+                agent.handle_member_msg(MemberMsg(a, agent.id if flag else b, {(1, a): STRONG}), now)
+            elif action == 6:
+                candidate = agent.get_candidate(now)
+                if candidate is not None:
+                    record(msg for msg, _ in agent.send_request(candidate, now))
+            elif agent.head_id == agent.id and len(agent.members) > 1:
+                record(msg for msg, _ in agent.handover_head(now))
+            assert type(agent.members) is frozenset
+            assert type(agent.human_members) is frozenset
+            assert agent.id in agent.members
+        for msg, snapshot in seen:
+            assert member_sets(msg) == snapshot
