@@ -38,9 +38,11 @@ SWEEPABLE = ("moving_group_ratio", "n_agents", "loss", "noise")
 class SchemaError(ValueError):
     """A trace or config file does not match its documented schema."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: Optional[int] = None, path: Optional[Path] = None):
         self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -211,25 +213,34 @@ def ingest_trace(
     rows: dict[float, list[tuple[int, float, float, float]]] = {}
     normalized = 0
     two_pi = 2 * math.pi
+    isfinite = math.isfinite
+    # a frame's rows repeat one time text: it is converted and tested once
+    time_text = None
     for lineno, parts in _csv_rows(path, TRACE_HEADER):
+        new_time = parts[0] != time_text
         try:
-            t = float(parts[0])
+            if new_time:
+                t = float(parts[0])
             aid = int(parts[1])
             x, y, ang = float(parts[2]), float(parts[3]), float(parts[4])
         except ValueError as exc:
-            raise SchemaError(str(exc), line=lineno) from exc
-        if not all(map(math.isfinite, (t, x, y, ang))):
-            raise SchemaError("non-finite time, coordinate or angle", line=lineno)
+            raise SchemaError(str(exc), line=lineno, path=path) from exc
+        if new_time:
+            if not isfinite(t):
+                raise SchemaError("non-finite time, coordinate or angle", line=lineno, path=path)
+            time_text, frame_rows = parts[0], rows.setdefault(t, [])
+        if not (isfinite(x) and isfinite(y) and isfinite(ang)):
+            raise SchemaError("non-finite time, coordinate or angle", line=lineno, path=path)
         if not 0.0 <= ang < two_pi:
             ang = ang % two_pi
             normalized += 1
-        rows.setdefault(t, []).append((aid, x, y, ang))
+        frame_rows.append((aid, x, y, ang))
     if normalized:
         log.warning("normalized %d shoulder angles into [0, 2*pi)", normalized)
     if not rows:
-        raise SchemaError("trace file contains no frames")
+        raise SchemaError("trace file contains no frames", path=path)
     times = sorted(rows)
-    frames = [_build_frame(t, rows[t]) for t in times]
+    frames = [_build_frame(t, rows[t], path) for t in times]
     if len(times) > 1:
         diffs = np.diff(times)
         dt = float(np.median(diffs))
@@ -249,28 +260,42 @@ def ingest_trace(
 def read_situations(path: Path) -> dict[float, list[frozenset[int]]]:
     """Read a ``time,situation_id,member_ids`` file (ground truth or
     protocol partitions) into the member sets listed at each time, one
-    object per distinct set. An agent listed twice at one time is an error."""
+    object per distinct set. An agent listed twice at one time, and a file
+    with no situation rows, are errors."""
     situations: dict[float, list[frozenset[int]]] = {}
     listed: dict[float, set[int]] = {}
     distinct: dict[frozenset[int], frozenset[int]] = {}
+    # each distinct member text is parsed once, and a time's rows repeat its text
+    parsed: dict[str, frozenset[int]] = {}
+    time_text = None
     for lineno, parts in _csv_rows(path, TRUTH_HEADER):
+        new_time = parts[0] != time_text
+        members = parsed.get(parts[2])
         try:
-            t = float(parts[0])
-            members = frozenset(int(v) for v in parts[2].split(";") if v)
+            if new_time:
+                t = float(parts[0])
+            if members is None:
+                fresh = frozenset(int(v) for v in parts[2].split(";") if v)
+                members = parsed[parts[2]] = distinct.setdefault(fresh, fresh)
         except ValueError as exc:
-            raise SchemaError(str(exc), line=lineno) from exc
-        if not math.isfinite(t):
-            raise SchemaError(f"non-finite time {parts[0]!r}", line=lineno)
+            raise SchemaError(str(exc), line=lineno, path=path) from exc
+        if new_time:
+            if not math.isfinite(t):
+                raise SchemaError(f"non-finite time {parts[0]!r}", line=lineno, path=path)
+            time_text = parts[0]
+            seen, sample = listed.setdefault(t, set()), situations.setdefault(t, [])
         if not members:
-            raise SchemaError("empty situation member list", line=lineno)
-        seen = listed.setdefault(t, set())
+            raise SchemaError("empty situation member list", line=lineno, path=path)
         if not seen.isdisjoint(members):
             raise SchemaError(
-                f"{path}: agents {sorted(seen & members)} are in two situations at t={t!r}",
+                f"agents {sorted(seen & members)} are in two situations at t={t!r}",
                 line=lineno,
+                path=path,
             )
         seen |= members
-        situations.setdefault(t, []).append(distinct.setdefault(members, members))
+        sample.append(members)
+    if not situations:
+        raise SchemaError("no situation rows after the header", path=path)
     return situations
 
 
@@ -280,14 +305,16 @@ def _csv_rows(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
     with open(path, "r", encoding="utf-8") as fh:
         found = fh.readline().strip()
         if found != header:
-            raise SchemaError(f"expected header {header!r}, got {found!r}", line=1)
+            raise SchemaError(f"expected header {header!r}, got {found!r}", line=1, path=path)
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != n_fields:
-                raise SchemaError(f"expected {n_fields} fields, got {len(parts)}", line=lineno)
+                raise SchemaError(
+                    f"expected {n_fields} fields, got {len(parts)}", line=lineno, path=path
+                )
             yield lineno, parts
 
 
@@ -302,11 +329,11 @@ def _nearest(times: Sequence[float], queries: Sequence[float]) -> np.ndarray:
     return np.where(np.abs(times[hi] - queries) < np.abs(times[lo] - queries), hi, lo)
 
 
-def _build_frame(t: float, rows: list[tuple[int, float, float, float]]) -> TraceFrame:
+def _build_frame(t: float, rows: list[tuple[int, float, float, float]], path: Path) -> TraceFrame:
     rows = sorted(rows)
     ids = tuple(r[0] for r in rows)
     if len(set(ids)) != len(ids):
-        raise SchemaError(f"duplicate agent ids in frame at t={t}")
+        raise SchemaError(f"duplicate agent ids in frame at t={t}", path=path)
     pos = np.array([[r[1], r[2]] for r in rows], dtype=float)
     ang = np.array([r[3] for r in rows], dtype=float)
     return TraceFrame(t, ids, pos, ang)
@@ -320,11 +347,11 @@ def _align_truth(
     blocks: one singleton per agent, and the previous frame's tuple when
     nothing changed."""
     times = sorted(situations)
-    nearest = _nearest(times, [f.time for f in frames]) if times else ()
+    nearest = _nearest(times, [f.time for f in frames])
     singletons: dict[int, frozenset[int]] = {}
     truth: GroundTruth = []
     for k, frame in enumerate(frames):
-        blocks = list(situations[times[nearest[k]]]) if times else []
+        blocks = list(situations[times[nearest[k]]])
         covered = set().union(*blocks)
         blocks.extend(
             singletons.setdefault(a, frozenset((a,))) for a in frame.ids if a not in covered
@@ -353,11 +380,14 @@ def _write_situations(
     path: Path, samples: Iterable[tuple[float, Iterable[frozenset[int]]]]
 ) -> None:
     """Write (time, situations) samples in the format ``read_situations`` reads."""
+    texts: dict[frozenset[int], str] = {}  # each distinct block is formatted once
     with _atomic_write(path) as fh:
         fh.write(TRUTH_HEADER + "\n")
         for t, blocks in samples:
             for sid, block in enumerate(blocks):
-                members = ";".join(str(m) for m in sorted(block))
+                members = texts.get(block)
+                if members is None:
+                    members = texts[block] = ";".join(str(m) for m in sorted(block))
                 fh.write(f"{t!r},{sid},{members}\n")
 
 
@@ -425,6 +455,7 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
         departures.setdefault(max(0, math.ceil((t - PERIOD_TOL) / period)), []).append(aid)
 
     metrics_rows: list[MetricsRow] = []
+    scored = None  # the (truth, universe, partition) that the last row scores
     partitions: list[tuple[float, Partition]] = []
     role_samples: list[tuple[float, dict[int, tuple[Role, int]]]] = []
 
@@ -461,10 +492,15 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
             if partitions and partitions[-1][1] == protocol_partition:
                 protocol_partition = partitions[-1][1]
             partitions.append((now, protocol_partition))
-            truth_partition = (
-                None if truth is None else Partition(truth[frame_idx]).restricted(universe)
-            )
-            metrics_rows.append(_score(now, truth_partition, protocol_partition))
+            inputs = (None if truth is None else truth[frame_idx], universe, protocol_partition)
+            if inputs == scored:
+                metrics_rows.append(replace(metrics_rows[-1], time=now))
+            else:
+                truth_partition = (
+                    None if truth is None else Partition(truth[frame_idx]).restricted(universe)
+                )
+                metrics_rows.append(_score(now, truth_partition, protocol_partition))
+                scored = inputs
             roles = {aid: (a.role, a.head_id) for aid, a in sorted(agents.items())}
             if role_samples and role_samples[-1][1] == roles:
                 roles = role_samples[-1][1]
@@ -724,12 +760,15 @@ def compare_partition_files(
     against the nearest predicted time."""
     truth = read_situations(truth_path)
     predicted = read_situations(predicted_path)
-    if not predicted:
-        raise SchemaError(f"no partitions in {predicted_path}")
     pred_times = sorted(predicted)
     truth_times = sorted(truth)
-    rows = [
-        _score(t, Partition(truth[t]), Partition(predicted[pred_times[i]]))
-        for t, i in zip(truth_times, _nearest(pred_times, truth_times))
-    ]
+    rows: list[MetricsRow] = []
+    scored = None  # the (truth, predicted) situations that the last row scores
+    for t, i in zip(truth_times, _nearest(pred_times, truth_times)):
+        inputs = (truth[t], predicted[pred_times[i]])
+        if inputs == scored:
+            rows.append(replace(rows[-1], time=t))
+        else:
+            rows.append(_score(t, Partition(inputs[0]), Partition(inputs[1])))
+            scored = inputs
     return rows, _summarize(rows)

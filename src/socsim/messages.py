@@ -9,7 +9,7 @@ Log records are ``time;type;from;to|*;payload`` lines with opinions as
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .opinions import Opinion, format_opinion, parse_opinion
 
@@ -56,10 +56,14 @@ def _ids(values) -> str:
     return ",".join(str(v) for v in sorted(values))
 
 
+def _pair_field(pair: tuple[int, int], op: Opinion) -> str:
+    return f"{pair[0]}:{pair[1]}:{format_opinion(op)}"
+
+
 def encode_payload(msg: Message) -> str:
     if isinstance(msg, MemberMsg):
         fields = [str(msg.head)]
-        fields.extend(f"{i}:{j}:{format_opinion(op)}" for (i, j), op in msg.opinions.items())
+        fields.extend(_pair_field(pair, op) for pair, op in msg.opinions.items())
         return "|".join(fields)
     if isinstance(msg, HeadMsg):
         return f"{msg.head}|{_ids(msg.agent_members)}|{_ids(msg.human_members)}"
@@ -72,9 +76,40 @@ def encode_payload(msg: Message) -> str:
     raise TypeError(f"unknown message type: {msg!r}")
 
 
-def encode_record(time: float, msg: Message, sender: int, target: Optional[int]) -> str:
+def _line(time: float, msg: Message, sender: int, target: Optional[int], payload: str) -> str:
     to = "*" if target is None else str(target)
-    return f"{time!r};{message_type(msg)};{sender};{to};{encode_payload(msg)}"
+    return f"{time!r};{message_type(msg)};{sender};{to};{payload}"
+
+
+def encode_record(time: float, msg: Message, sender: int, target: Optional[int]) -> str:
+    return _line(time, msg, sender, target, encode_payload(msg))
+
+
+def encode_records(
+    records: Iterable[tuple[float, Message, int, Optional[int]]]
+) -> Iterator[str]:
+    """``encode_record`` of each (time, message, sender, target), with its
+    newline. Within one call, each distinct head, request or response
+    payload is encoded once, and a pair's ``lo:hi:b,d,u,a`` text is reused
+    while its next opinion equals its last."""
+    payloads: dict[Message, str] = {}
+    pair_fields: dict[tuple[int, int], tuple[Opinion, str]] = {}
+    for time, msg, sender, target in records:
+        if isinstance(msg, MemberMsg):
+            fields = [str(msg.head)]
+            for pair, op in msg.opinions.items():
+                last = pair_fields.get(pair)
+                # equal floats print alike except 0.0 and -0.0, so an opinion
+                # with a zero field is formatted again
+                if last is None or last[0] != op or not all(op):
+                    last = pair_fields[pair] = (op, _pair_field(pair, op))
+                fields.append(last[1])
+            payload = "|".join(fields)
+        else:
+            payload = payloads.get(msg)
+            if payload is None:
+                payload = payloads[msg] = encode_payload(msg)
+        yield _line(time, msg, sender, target, payload) + "\n"
 
 
 def decode_record(line: str) -> tuple[float, Message, int, Optional[int]]:

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .messages import HeadMsg, Message, encode_record
+from .messages import HeadMsg, Message, encode_record, encode_records
 from .protocol import Agent, concerned_receivers
 
 # A scheduler picks the index of the next ready delivery, one per receiver of
@@ -74,7 +74,7 @@ class DeliveryLog:
         """Write the wire lines. A plain log is streamed line by line; a gzip
         log compresses the whole body in one call, because zlib's output
         depends on how its input is chunked and the bytes must stay the same."""
-        lines = (entry.wire_line() + "\n" for entry in self.entries)
+        lines = encode_records((e.time, e.message, e.sender, e.target) for e in self.entries)
         if str(path).endswith(".gz"):
             body = "".join(lines).encode("utf-8")
             # fixed mtime and empty name keep the output reproducible

@@ -29,6 +29,16 @@ def non_dogmatic(base_rate=None):
     return opinions(min_uncertainty=1e-6, base_rate=base_rate)
 
 
+def counted(fn, calls: list):
+    """``fn`` appending the arguments of each call to ``calls``."""
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
+
+
 # ----------------------------------------------------------------------
 # independent oracles
 

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from socsim import cli
+from socsim import cli, harness
 from socsim.harness import (
     ReplaySource,
     Scenario,
     SchemaError,
     SyntheticSource,
     _nearest,
+    _score,
     compare_partition_files,
     ingest_trace,
     load_scenario,
@@ -29,9 +30,12 @@ from socsim.harness import (
     write_trace,
 )
 from socsim.messages import MemberMsg, decode_record
-from socsim.mobility import MobilityConfig, generate
+from socsim.metrics import Partition
+from socsim.mobility import MobilityConfig, TraceFrame, generate
 from socsim.percept import PerceptConfig
 from socsim.protocol import Agent, ProtocolConfig
+
+from conftest import counted
 
 
 def synthetic_scenario(**overrides) -> Scenario:
@@ -136,12 +140,14 @@ class TestIngest:
         with pytest.raises(SchemaError) as err:
             ingest_trace(path)
         assert err.value.line == 2
+        assert str(err.value) == f"{path}: line 2: expected 5 fields, got 3"
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t,agent,x,y,a\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             ingest_trace(path)
+        assert str(err.value).startswith(f"{path}: line 1: expected header")
 
     def test_irregular_trace_resampled(self, tmp_path, caplog):
         path = tmp_path / "trace.csv"
@@ -167,6 +173,7 @@ class TestIngest:
         with pytest.raises(SchemaError) as err:
             ingest_trace(path)
         assert err.value.line == 3
+        assert str(err.value) == f"{path}: line 3: non-finite time, coordinate or angle"
 
     @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
     def test_non_finite_situation_time_rejected(self, tmp_path, time):
@@ -319,6 +326,38 @@ class TestRun:
         # a trace that ends exactly at the duration replays in full
         result = run(dataclasses.replace(scenario, duration=10.0))
         assert result.partitions[-1][0] == 10.0
+
+    def test_metrics_rows_equal_per_sample_scores(self, tmp_path, monkeypatch):
+        # agent 5 leaves the trace after 20 s and agent 2 departs at 30 s, so
+        # the truth, the universe and the prediction all change between samples
+        mob = MobilityConfig(n_agents=6, seed=3, group_formation_rate=0.05)
+        frames, truth = generate(mob, 60.0, 0.5)
+        frames = [
+            f if f.time <= 20.0 else TraceFrame(f.time, f.ids[:5], f.pos[:5], f.angle[:5])
+            for f in frames
+        ]
+        write_trace(tmp_path / "trace.csv", frames)
+        write_ground_truth(tmp_path / "truth.csv", frames, truth)
+        source = ReplaySource(tmp_path / "trace.csv", tmp_path / "truth.csv")
+        scenario = Scenario(source=source, duration=60.0, seed=11, removals=((30.0, 2),))
+        calls = []
+        monkeypatch.setattr(harness, "scores", counted(harness.scores, calls))
+        result = run(scenario)
+        scored = len(calls)
+
+        frames, truth = ingest_trace(source.trace, source.ground_truth)
+        expected, inputs = [], []
+        for now, partition in result.partitions:
+            k = round(now / scenario.dt)
+            universe = frozenset(frames[k].ids)
+            expected.append(_score(now, Partition(truth[k]).restricted(universe), partition))
+            inputs.append((truth[k], universe, partition))
+        assert result.metrics_rows == expected
+        for part in range(3):
+            assert len({sample[part] for sample in inputs}) > 1
+        # only a sample whose inputs differ from the previous sample's is scored
+        changed = sum(a != b for a, b in zip([None] + inputs, inputs))
+        assert scored == changed < len(inputs)
 
     def test_replay_without_truth_skips_metrics(self, tmp_path):
         scenario = synthetic_scenario()
@@ -766,7 +805,49 @@ class TestCli:
             code = cli.main(["metrics", "--truth", str(truth), "--predicted", str(predicted)])
             assert code == 1
         err = capsys.readouterr().err
-        assert err.count(f"config error: line 3: {bad}: agents [2] are in two situations") == 2
+        assert err.count(f"config error: {bad}: line 3: agents [2] are in two situations") == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("time,situation,members\n", "line 1: expected header 'time,situation_id,member_ids'"),
+            ("time,situation_id,member_ids\n0.0,0\n", "line 2: expected 3 fields, got 2"),
+            (
+                "time,situation_id,member_ids\n0.0,0,1;x\n",
+                "line 2: invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                "time,situation_id,member_ids\nx,0,1\n",
+                "line 2: could not convert string to float: 'x'",
+            ),
+            ("time,situation_id,member_ids\n", "no situation rows after the header"),
+        ],
+    )
+    def test_bad_situations_file_named_exit_one(self, tmp_path, capsys, text, message):
+        good = tmp_path / "good.csv"
+        good.write_text("time,situation_id,member_ids\n0.0,0,1;2\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        for truth, predicted in ((bad, good), (good, bad)):
+            code = cli.main(["metrics", "--truth", str(truth), "--predicted", str(predicted)])
+            assert code == 1
+        assert capsys.readouterr().err.count(f"config error: {bad}: {message}") == 2
+
+    def test_replay_with_header_only_truth_exit_one(self, tmp_path, capsys):
+        empty = tmp_path / "truth.csv"
+        empty.write_text("time,situation_id,member_ids\n")
+        config = Path(__file__).parent.parent / "scenarios" / "triads.json"
+        code = cli.main(
+            [
+                "replay",
+                "--config", str(config),
+                "--ground-truth", str(empty),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert f"config error: {empty}: no situation rows after the header" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_replay_truth_with_agent_in_two_situations_exit_one(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -789,7 +870,7 @@ class TestCli:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert f"line 4: {truth}: agents [0, 1] are in two situations at t=0.0" in err
+        assert f"{truth}: line 4: agents [0, 1] are in two situations at t=0.0" in err
         assert not (tmp_path / "rep").exists()
 
     def test_seed_override(self, tmp_path, capsys):
@@ -992,6 +1073,31 @@ class TestOfflineCompare:
             },
         ),
     }
+
+    def test_rows_equal_per_time_scores(self, tmp_path, monkeypatch):
+        quick = load_scenario(Path(__file__).parent.parent / "scenarios" / "quick.json")
+        run(quick, tmp_path / "seed7")
+        run(dataclasses.replace(quick, seed=8), tmp_path / "seed8")
+        truth_path = tmp_path / "seed7" / "ground_truth.csv"
+        predicted_path = tmp_path / "seed8" / "partitions.csv"
+        calls = []
+        monkeypatch.setattr(harness, "scores", counted(harness.scores, calls))
+        rows, _ = compare_partition_files(truth_path, predicted_path)
+        scored = len(calls)
+
+        truth, predicted = read_situations(truth_path), read_situations(predicted_path)
+        expected, inputs = [], []
+        for t in sorted(truth):
+            # the nearest predicted time, the earlier one on a tie
+            nearest = min(predicted, key=lambda p: (abs(p - t), p))
+            expected.append(_score(t, Partition(truth[t]), Partition(predicted[nearest])))
+            inputs.append((truth[t], predicted[nearest]))
+        assert rows == expected
+        assert len({tuple(sample[0]) for sample in inputs}) > 1
+        assert len({tuple(sample[1]) for sample in inputs}) > 1
+        # only a time whose situations differ from the previous time's is scored
+        changed = sum(a != b for a, b in zip([None] + inputs, inputs))
+        assert scored == changed < len(inputs)
 
     def test_metrics_command_output_pinned(self, tmp_path, capsys):
         import dataclasses

@@ -7,10 +7,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from socsim.messages import HeadMsg, message_type
-from socsim.netsim import BoundReport, DeliveryLog, NetConfig, Network, audit_message_bound
-from socsim.opinions import Opinion
+from socsim import messages as messages_module
+from socsim.messages import HeadMsg, MemberMsg, RequestMsg, encode_payload, message_type
+from socsim.netsim import (
+    BoundReport,
+    DeliveryLog,
+    LogEntry,
+    NetConfig,
+    Network,
+    audit_message_bound,
+)
+from socsim.opinions import Opinion, format_opinion
 from socsim.protocol import Agent, AgentKind, ProtocolConfig, Role
+
+from conftest import counted
 
 STRONG = Opinion(0.9, 0.05, 0.05, 0.2)
 
@@ -287,6 +297,39 @@ class TestWrite:
         finally:
             tracemalloc.stop()
         assert peak < (tmp_path / "messages.log").stat().st_size
+
+    def test_memoised_encoding_is_the_wire_lines(self, tmp_path, monkeypatch):
+        members = frozenset({1, 2})
+        op = Opinion(0.5, 0.25, 0.25, 0.2)
+        zero = Opinion(0.0, 0.5, 0.5, 0.2)
+        messages = [
+            HeadMsg(1, members, members),
+            HeadMsg(1, members, members),
+            # equal to the head message above, but not the same objects
+            HeadMsg(1, frozenset({2, 1}), frozenset({1, 2})),
+            RequestMsg(1, frozenset({1, 2})),
+            MemberMsg(2, 1, {(1, 2): op, (2, 3): op}),
+            # the same pair with an equal opinion that is another object
+            MemberMsg(3, 1, {(1, 2): Opinion(0.5, 0.25, 0.25, 0.2)}),
+            MemberMsg(2, 1, {(1, 2): Opinion(0.5, 0.3, 0.2, 0.2)}),
+            MemberMsg(2, 1, {(1, 2): zero}),
+            MemberMsg(2, 1, {(1, 2): Opinion(-0.0, 0.5, 0.5, 0.2)}),
+            MemberMsg(2, 1, {(1, 2): zero}),
+        ]
+        log = DeliveryLog(
+            [LogEntry(k, float(k), m, m[0], None, (1, 2, 3)) for k, m in enumerate(messages)]
+        )
+        expected = "".join(e.wire_line() + "\n" for e in log.entries)
+        assert "1:2:-0.0,0.5,0.5,0.2" in expected
+        payloads, opinions = [], []
+        monkeypatch.setattr(messages_module, "encode_payload", counted(encode_payload, payloads))
+        monkeypatch.setattr(messages_module, "format_opinion", counted(format_opinion, opinions))
+        log.write(tmp_path / "messages.log")
+        assert (tmp_path / "messages.log").read_text() == expected
+        # one head and one request payload; (1, 2) formatted for the first,
+        # the changed and each zero opinion, and (2, 3) once
+        assert len(payloads) == 2
+        assert len(opinions) == 6
 
 
 class TestRangeWarning:
