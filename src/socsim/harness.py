@@ -203,13 +203,16 @@ TRUTH_HEADER = "time,situation_id,member_ids"
 
 
 def ingest_trace(
-    path: Path, ground_truth: Optional[Path] = None
+    path: Path, ground_truth: Optional[Path] = None, scored: Optional[Iterable[int]] = None
 ) -> tuple[list[TraceFrame], Optional[GroundTruth]]:
     """Read a trace CSV (and optional ground-truth CSV) into frames.
 
     Irregular timesteps are resampled onto a uniform grid by nearest
     frame; shoulder angles outside [0, 2*pi) are normalized with a
-    warning; non-finite times, coordinates and angles are rejected."""
+    warning; non-finite times, coordinates and angles are rejected. Each
+    frame takes the situations of the nearest truth time, and each frame
+    that ``scored`` indexes (by default every frame) must lie within half
+    a step of one, the larger of the trace's and the truth file's."""
     rows: dict[float, list[tuple[int, float, float, float]]] = {}
     normalized = 0
     two_pi = 2 * math.pi
@@ -241,6 +244,7 @@ def ingest_trace(
         raise SchemaError("trace file contains no frames", path=path)
     times = sorted(rows)
     frames = [_build_frame(t, rows[t], path) for t in times]
+    dt = 0.0
     if len(times) > 1:
         diffs = np.diff(times)
         dt = float(np.median(diffs))
@@ -253,7 +257,10 @@ def ingest_trace(
             ]
     truth = None
     if ground_truth is not None:
-        truth = _align_truth(read_situations(ground_truth), frames)
+        situations = read_situations(ground_truth)
+        if scored is None:
+            scored = range(len(frames))
+        truth = _align_truth(situations, frames, dt, scored, ground_truth)
     return frames, truth
 
 
@@ -340,14 +347,29 @@ def _build_frame(t: float, rows: list[tuple[int, float, float, float]], path: Pa
 
 
 def _align_truth(
-    situations: dict[float, list[frozenset[int]]], frames: Sequence[TraceFrame]
+    situations: dict[float, list[frozenset[int]]],
+    frames: Sequence[TraceFrame],
+    step: float,
+    scored: Iterable[int],
+    path: Path,
 ) -> GroundTruth:
     """Each frame's situations at the nearest truth time, with the frame's
     agents that no situation lists added as singletons. Frames share their
     blocks: one singleton per agent, and the previous frame's tuple when
-    nothing changed."""
+    nothing changed. A frame that ``scored`` indexes must lie within half the
+    larger of ``step``, the trace step, and the truth file's median step of
+    its truth time; indices past the last frame are left to the caller."""
     times = sorted(situations)
-    nearest = _nearest(times, [f.time for f in frames])
+    frame_times = [f.time for f in frames]
+    nearest = _nearest(times, frame_times)
+    truth_step = float(np.median(np.diff(times))) if len(times) > 1 else 0.0
+    reach = max(step, truth_step) / 2
+    for k in scored:
+        if k < len(frames) and abs(frame_times[k] - times[nearest[k]]) > reach + 1e-9:
+            raise SchemaError(
+                f"no ground truth within {reach!r} s of the scored frame at t={frame_times[k]!r}",
+                path=path,
+            )
     singletons: dict[int, frozenset[int]] = {}
     truth: GroundTruth = []
     for k, frame in enumerate(frames):
@@ -438,9 +460,7 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
 
     period = scenario.protocol.period
     strong_at = (scenario.protocol.request_threshold, scenario.protocol.u_min)
-    steps_per_period = int(round(period / scenario.dt))
-    n_periods = int(math.floor(scenario.duration / period + 1e-9))
-    sample_every = int(round(scenario.sample_interval / period))
+    steps_per_period, n_periods, sample_every = _schedule(scenario)
 
     # period index -> departing agents; a removal at t takes effect at the
     # first period k with k * period >= t - PERIOD_TOL, the protocol's rounding rule
@@ -521,18 +541,38 @@ def _load_source(scenario: Scenario) -> tuple[list[TraceFrame], Optional[GroundT
             scenario.source.mobility, seed=scenario.source.mobility.seed ^ scenario.seed
         )
         return mobility.generate(mob, scenario.duration, scenario.dt)
-    frames, truth = ingest_trace(scenario.source.trace, scenario.source.ground_truth)
+    steps_per_period, n_periods, sample_every = _schedule(scenario)
     # the run reads frame k * steps_per_period at time k * period
+    scored = range(0, n_periods * steps_per_period + 1, sample_every * steps_per_period)
+    trace = scenario.source.trace
+    frames, truth = ingest_trace(trace, scenario.source.ground_truth, scored)
     if abs(frames[0].time) > 1e-9:
-        raise SchemaError(f"trace starts at t={frames[0].time!r}, a replay must start at t=0")
+        raise SchemaError(
+            f"trace starts at t={frames[0].time!r}, a replay must start at t=0", path=trace
+        )
     if len(frames) > 1:
         step = float(np.median(np.diff([f.time for f in frames])))
         if abs(step - scenario.dt) > 1e-9:
-            raise SchemaError(f"trace step {step!r} s differs from scenario dt {scenario.dt!r} s")
+            raise SchemaError(
+                f"trace step {step!r} s differs from scenario dt {scenario.dt!r} s", path=trace
+            )
     end = frames[-1].time
     if scenario.duration > end + 1e-9:
-        raise SchemaError(f"duration {scenario.duration!r} s outlasts the trace end t={end!r}")
+        raise SchemaError(
+            f"duration {scenario.duration!r} s outlasts the trace end t={end!r}", path=trace
+        )
     return frames, truth
+
+
+def _schedule(scenario: Scenario) -> tuple[int, int, int]:
+    """Trace steps per protocol period, the index of a run's last period, and
+    periods per sample."""
+    period = scenario.protocol.period
+    return (
+        int(round(period / scenario.dt)),
+        int(math.floor(scenario.duration / period + 1e-9)),
+        int(round(scenario.sample_interval / period)),
+    )
 
 
 def _frame_with_providers(

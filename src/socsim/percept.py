@@ -12,6 +12,7 @@ at several accuracy levels.
 from __future__ import annotations
 
 import math
+from collections.abc import KeysView, Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
@@ -81,6 +82,96 @@ class PerceptConfig:
             raise ValueError("gmm must be a fitted GmmModel; scenario files cannot carry one")
 
 
+class ObservedIndex(Mapping):
+    """One observer's pair index for one period, read-only and built on first
+    read: an opinion about every unordered pair ``(lo, hi)``, ``lo < hi``, of
+    the individuals it sees, in ``observe_period``'s pair order.
+
+    It holds the period's pair rows, its own range of them and the ids it
+    sees, and builds its ``{(lo, hi): opinion}`` dict when a value, an item or
+    the key order is first read; from then on it reads that dict, and the
+    period's rows are no longer held. ``len``, truthiness, ``pair in index``
+    and ``a.keys() <= b.keys()`` between two observed indices never build it:
+    an observer's pairs are all pairs of what it sees."""
+
+    __slots__ = ("_rows", "_start", "_end", "_seen", "_index")
+
+    def __init__(self, rows: tuple, start: int, end: int, seen: frozenset[int]):
+        # the period's lo, hi, belief and disbelief lists, then the
+        # uncertainty and the base rate that every opinion shares
+        self._rows = rows
+        self._start, self._end = start, end
+        self._seen = seen
+        self._index: Optional[PairIndex] = None
+
+    @property
+    def is_built(self) -> bool:
+        return self._index is not None
+
+    def as_dict(self) -> PairIndex:
+        """The index as a dict, built on the first call; every call returns
+        that same dict, which callers must not change."""
+        index = self._index
+        if index is None:
+            lo, hi, belief, disbelief, u0, base_rate = self._rows
+            s, e = self._start, self._end
+            pairs = zip(lo[s:e], hi[s:e])
+            fields = zip(belief[s:e], disbelief[s:e], repeat(u0), repeat(base_rate))
+            index = self._index = _BuiltIndex(zip(pairs, map(_new_opinion, fields)))
+            index._seen = self._seen
+            self._rows = None
+        return index
+
+    def __getitem__(self, pair: tuple[int, int]) -> Opinion:
+        return self.as_dict()[pair]
+
+    def __iter__(self):
+        return iter(self.as_dict())
+
+    def __len__(self) -> int:
+        return self._end - self._start
+
+    def __contains__(self, pair) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        lo, hi = pair
+        return lo in self._seen and hi in self._seen and lo < hi
+
+    def keys(self) -> KeysView:
+        return _ObservedKeys(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.as_dict()!r})"
+
+
+class _BuiltIndex(dict):
+    """The dict an ``ObservedIndex`` builds: read as a plain dict, while its
+    key view still compares what its observer saw."""
+
+    __slots__ = ("_seen",)
+
+    def keys(self) -> KeysView:
+        return _ObservedKeys(self)
+
+
+class _ObservedKeys(KeysView):
+    """Key view of an observed index, built or not. Inclusion between two
+    such views compares the seen sets and builds neither index."""
+
+    def __le__(self, other):
+        if isinstance(other, _ObservedKeys):
+            return self._mapping._seen <= other._mapping._seen
+        return super().__le__(other)
+
+    def __ge__(self, other):
+        if isinstance(other, _ObservedKeys):
+            return other._mapping._seen <= self._mapping._seen
+        return super().__ge__(other)
+
+
+_new_opinion = partial(tuple.__new__, Opinion)
+
+
 def observe_period(
     frame: TraceFrame,
     observers: Sequence[int],
@@ -88,14 +179,15 @@ def observe_period(
     rng: np.random.Generator,
     request_threshold: float = 0.5,
     u_min: float = 0.0,
-) -> dict[int, tuple[PairIndex, list[tuple[int, float]], tuple[tuple[int, int], ...]]]:
+) -> dict[int, tuple[ObservedIndex, list[tuple[int, float]], tuple[tuple[int, int], ...]]]:
     """One period's percept for every observer in one vectorised pass.
 
     Maps each observer to its pair index, an opinion about every unordered
-    pair with both individuals within the observation radius; its (id,
-    true distance) list of the other individuals within that radius; and
-    the pairs of its index whose opinion passes ``opinions.may_pass`` at the
-    protocol's ``request_threshold`` and ``u_min``, in index order. Each
+    pair with both individuals within the observation radius, as an
+    ``ObservedIndex`` built on first read; its (id, true distance) list of
+    the other individuals within that radius; and the pairs of its index
+    whose opinion passes ``opinions.may_pass`` at the protocol's
+    ``request_threshold`` and ``u_min``, in index order. Each
     observer perturbs the positions and shoulder angles it sees with the
     configured sensor noise before the geometry features are computed, so
     the opinion about (i, j) does not depend on pair ordering. The noise of
@@ -132,26 +224,34 @@ def observe_period(
     dist_ij, phi = _kernels.pair_geometry(pos, ang, i_slot, j_slot)
     likelihood = _likelihood(dist_ij, phi, config)
     u0, base_rate = config.base_uncertainty, config.base_rate
-    ids = np.asarray(frame.ids)
-    a, b = ids[cols[i_slot]], ids[cols[j_slot]]
-    pairs = list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    seen = np.asarray(frame.ids)[cols]
+    a, b = seen[i_slot], seen[j_slot]
+    lo, hi = np.minimum(a, b).tolist(), np.maximum(a, b).tolist()
     belief, disbelief = likelihood * (1.0 - u0), (1.0 - likelihood) * (1.0 - u0)
-    fields = zip(belief.tolist(), disbelief.tolist(), repeat(u0), repeat(base_rate))
-    opinions = list(map(partial(tuple.__new__, Opinion), fields))
     # opinions.may_pass elementwise, floor_uncertainty's operations in its order
     if u0 >= u_min:
         expected = belief + base_rate * u0
     else:
         expected = belief * ((1.0 - u_min) / (belief + disbelief)) + base_rate * u_min
     strong = expected >= request_threshold - FUSION_BOUND_TOL
-    strong_pairs = list(compress(pairs, strong.tolist()))
+    mask = strong.tolist()
+    strong_pairs = list(zip(compress(lo, mask), compress(hi, mask)))
     strong_ends = np.cumsum(np.bincount(pair_rows[strong], minlength=len(obs_idx))).tolist()
     strong_lists = [tuple(strong_pairs[s:e]) for s, e in zip([0] + strong_ends, strong_ends)]
     neighbours = _neighbour_lists(frame, obs_idx, dist, within)
     ends = np.cumsum(np.bincount(pair_rows, minlength=len(obs_idx))).tolist()
+    seen_ids = seen.tolist()
+    seen_ends = np.cumsum(per_row).tolist()
+    period_rows = (lo, hi, belief.tolist(), disbelief.tolist(), u0, base_rate)
     return {
-        observer: (dict(zip(pairs[start:end], opinions[start:end])), neighbours[r], strong_lists[r])
-        for r, (observer, start, end) in enumerate(zip(observers, [0] + ends, ends))
+        observer: (
+            ObservedIndex(period_rows, start, end, frozenset(seen_ids[seen_start:seen_end])),
+            neighbours[r],
+            strong_lists[r],
+        )
+        for r, (observer, start, end, seen_start, seen_end) in enumerate(
+            zip(observers, [0] + ends, ends, [0] + seen_ends, seen_ends)
+        )
     }
 
 
@@ -160,7 +260,7 @@ def observe(
     observer: int,
     config: PerceptConfig,
     rng: np.random.Generator,
-) -> PairIndex:
+) -> ObservedIndex:
     """Pair index of one observer; see ``observe_period``."""
     return observe_period(frame, [observer], config, rng)[observer][0]
 

@@ -27,6 +27,7 @@ from .opinions import (
     may_pass,
     vacuous,
 )
+from .percept import ObservedIndex
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -112,7 +113,8 @@ class StrongPairs(NamedTuple):
 # message's also carries the StrongPairs of its index, which never goes on
 # the wire.
 Emission = list[tuple]
-# (stored_at, {(lo, hi): opinion}, the strong pairs of that index)
+# (stored_at, {(lo, hi): opinion}, the strong pairs of that index); an own
+# report's index is an ObservedIndex until the agent first reads its values
 Report = tuple[float, PairIndex, tuple[tuple[int, int], ...]]
 
 
@@ -234,7 +236,7 @@ class Agent:
         for nid, (_, dist, _) in self.neighbors.items():
             if dist <= self.config.social_distance:
                 in_range.add(nid)
-        reports = self.reports.get(self.id, ())
+        reports = self._own_reports()
         own: PairIndex = {}
         for _, index, _ in reports:
             own.update(index)
@@ -328,6 +330,19 @@ class Agent:
         pairs = tuple(p for p, op in index.items() if may_pass(op, threshold, u_min))
         return StrongPairs(threshold, u_min, pairs)
 
+    def _own_reports(self, newest_only: bool = False) -> list[Report]:
+        """This agent's retained reports, the index of each (or of the newest)
+        a dict: an observed index is built here and the agent keeps the dict in
+        its place, so that every later read is a dict read. An older report is
+        read only for a pair that the newest lacks, and is otherwise left
+        unbuilt."""
+        reports = self.reports.get(self.id, [])
+        for k in range(max(len(reports) - 1, 0) if newest_only else 0, len(reports)):
+            stored_at, index, pairs = reports[k]
+            if isinstance(index, ObservedIndex):
+                reports[k] = (stored_at, index.as_dict(), pairs)
+        return reports
+
     def _pair_view(self, pair: tuple[int, int]) -> Optional[Opinion]:
         """Fuse each sender's newest retained opinion of ``pair``."""
         u_min = self.config.u_min
@@ -348,6 +363,7 @@ class Agent:
         sets. Missing pairs contribute a vacuous opinion when
         ``fill_missing`` (aggregation happens before any thresholding)."""
         pairs = {(x, y) if x < y else (y, x) for x in left for y in right if x != y}
+        self._own_reports(newest_only=True)
         views: list[Opinion] = []
         for pair in sorted(pairs):
             view = self._pair_view(pair)

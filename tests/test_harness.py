@@ -784,7 +784,72 @@ class TestCli:
             ]
         )
         assert code == 1
-        assert "outlasts the trace" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {tmp_path / 'short.csv'}: duration 10.0 s outlasts the trace" in err
+
+    @pytest.mark.parametrize(
+        "shift, stride, message",
+        [
+            (0.5, 1, "trace starts at t=0.5, a replay must start at t=0"),
+            (0.0, 2, "trace step 1.0 s differs from scenario dt 0.5 s"),
+        ],
+    )
+    def test_replay_inconsistent_trace_named_exit_one(
+        self, tmp_path, capsys, shift, stride, message
+    ):
+        config = self.write_config(tmp_path)
+        frames, _ = generate(MobilityConfig(n_agents=3, seed=1), 30.0, 0.5)
+        frames = [dataclasses.replace(f, time=f.time + shift) for f in frames[::stride]]
+        trace = tmp_path / "bad.csv"
+        write_trace(trace, frames)
+        code = cli.main(
+            [
+                "replay",
+                "--config", str(config),
+                "--trace", str(trace),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert f"config error: {trace}: {message}" in capsys.readouterr().err
+
+    def replay_triads(self, tmp_path, truth_times, name):
+        """Replay the triads fixture against its truth rows at ``truth_times``."""
+        root = Path(__file__).parent.parent / "scenarios"
+        lines = (root / "fixtures" / "triads_truth.csv").read_text().splitlines()
+        truth = tmp_path / f"{name}.csv"
+        kept = [line for line in lines[1:] if truth_times(float(line.split(",")[0]))]
+        truth.write_text("\n".join(lines[:1] + kept) + "\n")
+        out = tmp_path / name
+        code = cli.main(
+            [
+                "replay",
+                "--config", str(root / "triads.json"),
+                "--ground-truth", str(truth),
+                "--out-dir", str(out),
+            ]
+        )
+        return code, truth, out
+
+    def test_replay_truth_ending_early_exit_one(self, tmp_path, capsys):
+        # samples fall on whole seconds; the first past t=4.0 is 1 s from the truth
+        code, truth, out = self.replay_triads(tmp_path, lambda t: t <= 4.0, "cut")
+        assert code == 1
+        err = capsys.readouterr().err
+        message = "no ground truth within 0.25 s of the scored frame at t=5.0"
+        assert f"config error: {truth}: {message}" in err
+        assert not out.exists()
+
+    def test_replay_truth_every_second_keeps_rows(self, tmp_path, capsys):
+        # a truth step of 1 s covers the 0.5 s trace steps, and each sample
+        # reads the same truth time as with the full file
+        code, _, full = self.replay_triads(tmp_path, lambda t: True, "full")
+        assert code == 0
+        code, _, sparse = self.replay_triads(tmp_path, lambda t: t == int(t), "sparse")
+        assert code == 0
+        full_rows = (full / "metrics.csv").read_bytes()
+        assert (sparse / "metrics.csv").read_bytes() == full_rows
+        assert full_rows.count(b"\n") == 117
 
     def test_non_finite_situation_time_exit_one(self, tmp_path, capsys):
         good = tmp_path / "good.csv"

@@ -9,6 +9,7 @@ from socsim import _kernels
 from socsim.mobility import TraceFrame
 from socsim.opinions import Opinion, expectation, may_pass
 from socsim.percept import (
+    ObservedIndex,
     PerceptConfig,
     _likelihood,
     fit_gmm,
@@ -226,6 +227,48 @@ class TestObservePeriod:
     def test_absent_observer_rejected(self):
         with pytest.raises(ValueError):
             observe_period(facing_pair(1.0), [1, 99], PerceptConfig(), RNG)
+
+
+class TestObservedIndex:
+    @pytest.mark.parametrize("sigma_pos,sigma_angle", NOISE)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unbuilt_reads_match_the_built_dict(self, seed, sigma_pos, sigma_angle):
+        rng = np.random.default_rng(seed)
+        extent = (6.0, 25.0, 60.0)[seed % 3]
+        providers = ((200, 3.0, 3.0), (0, 5.0, 1.0)) if seed % 2 else ()
+        frame = random_frame(rng, int(rng.integers(1, 14)), extent, providers)
+        cfg = PerceptConfig(
+            observation_radius=8.0, noise_sigma_pos=sigma_pos, noise_sigma_angle=sigma_angle
+        )
+        observers = sorted(frame.ids)
+        out = observe_period(frame, observers, cfg, np.random.default_rng(seed))
+        indices = [index for index, _, _ in out.values()]
+        ids = [*frame.ids, 999]  # 999 is seen by nobody
+        pairs = [(a, b) for a in ids for b in ids]
+        # membership, size, truth and inclusion, read before any index is built
+        contains = [[p in index for p in pairs] for index in indices]
+        sizes = [(len(index), bool(index)) for index in indices]
+        included = [[a.keys() <= b.keys() for b in indices] for a in indices]
+        assert not any(index.is_built for index in indices)
+        built = [dict(index.items()) for index in indices]
+        assert all(isinstance(index, ObservedIndex) and index.is_built for index in indices)
+        for index, plain, found, size in zip(indices, built, contains, sizes):
+            assert found == [p in plain for p in pairs]
+            assert size == (len(plain), bool(plain))
+            assert index == plain and list(index) == list(plain)
+        assert included == [[a.keys() <= b.keys() for b in built] for a in built]
+        # a built index's dict keeps the rule, against built and unbuilt indices
+        fresh = [index for index, _, _ in observe_period(frame, observers, cfg, rng).values()]
+        assert included == [
+            [a.as_dict().keys() <= b.keys() for b in fresh] for a in indices
+        ]
+        assert not any(index.is_built for index in fresh)
+
+    def test_built_once(self):
+        index = observe(facing_pair(1.0), 1, PerceptConfig(), RNG)
+        assert not index.is_built
+        assert index[1, 2] is index.as_dict()[1, 2]
+        assert index.as_dict() is index.as_dict()
 
 
 class TestConfig:

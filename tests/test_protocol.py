@@ -3,11 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socsim.messages import HeadMsg, MemberMsg, RequestMsg, ResponseMsg
+from socsim.mobility import TraceFrame
 from socsim.netsim import NetConfig, Network
 from socsim.opinions import (
     Opinion,
@@ -17,6 +19,7 @@ from socsim.opinions import (
     fuse_averaging_multi,
     vacuous,
 )
+from socsim.percept import ObservedIndex, PerceptConfig, observe_period
 from socsim.protocol import (
     Agent,
     AgentKind,
@@ -885,6 +888,39 @@ class TestSenderIndexedStore:
         assert entry.delivered_to == (2, 3, 4)
         for r in entry.delivered_to:
             assert agents[r].reports[1][-1][1] is entry.message.opinions
+
+
+class TestLazyOwnReports:
+    def test_lone_head_builds_none_of_its_reports(self):
+        # 1 and 2 face each other 0.8 m apart and merge; 3 stands 4 m away,
+        # sees them both, and no pair of its own is strong
+        frame = TraceFrame(
+            0.0,
+            (1, 2, 3),
+            np.array([[0.0, 0.0], [0.8, 0.0], [0.4, 4.0]]),
+            np.array([0.0, math.pi, 0.0]),
+        )
+        agents = {aid: make_agent(aid) for aid in frame.ids}
+        positions = {aid: tuple(p) for aid, p in zip(frame.ids, frame.pos.tolist())}
+        net = Network(NetConfig())
+        rng = np.random.default_rng(0)
+        lone = []
+        for k in range(8):
+            now = float(k)
+            observed = observe_period(frame, sorted(agents), PerceptConfig(), rng)
+            for aid, (index, near, strong) in observed.items():
+                neighbours = [(n, AgentKind.HUMAN_LINKED, d) for n, d in near]
+                agents[aid].apply_percept(index, neighbours, now, StrongPairs(0.5, 0.0, strong))
+            lone.append(observed[3][0])
+            net.step(now, positions, agents)
+        assert agents[1].members == agents[2].members == {1, 2}
+        assert agents[3].members == {3} and agents[3].head_id == 3
+        assert observed[3][2] == ((1, 2),)
+        assert all(index and not index.is_built for index in lone)
+        # the member broadcasts its index, so its newest report is a dict now
+        member = agents[1] if agents[1].head_id == 2 else agents[2]
+        [(_, index, _)] = member.reports[member.id]
+        assert isinstance(index, dict) and not isinstance(index, ObservedIndex)
 
 
 def generic_group_opinion(agent, left, right, fill_missing):
