@@ -107,6 +107,7 @@ class ObservedIndex(Mapping):
 
     @property
     def is_built(self) -> bool:
+        """Whether the dict of opinions has been built."""
         return self._index is not None
 
     def as_dict(self) -> PairIndex:
