@@ -336,6 +336,11 @@ def _nearest(times: Sequence[float], queries: Sequence[float]) -> np.ndarray:
     return np.where(np.abs(times[hi] - queries) < np.abs(times[lo] - queries), hi, lo)
 
 
+def _median_step(times: Sequence[float]) -> float:
+    """The median gap between the ascending ``times``; 0 for a single time."""
+    return float(np.median(np.diff(times))) if len(times) > 1 else 0.0
+
+
 def _build_frame(t: float, rows: list[tuple[int, float, float, float]], path: Path) -> TraceFrame:
     rows = sorted(rows)
     ids = tuple(r[0] for r in rows)
@@ -362,8 +367,7 @@ def _align_truth(
     times = sorted(situations)
     frame_times = [f.time for f in frames]
     nearest = _nearest(times, frame_times)
-    truth_step = float(np.median(np.diff(times))) if len(times) > 1 else 0.0
-    reach = max(step, truth_step) / 2
+    reach = max(step, _median_step(times)) / 2
     for k in scored:
         if k < len(frames) and abs(frame_times[k] - times[nearest[k]]) > reach + 1e-9:
             raise SchemaError(
@@ -797,14 +801,25 @@ def compare_partition_files(
     truth_path: Path, predicted_path: Path
 ) -> tuple[list[MetricsRow], dict]:
     """Offline comparison of two situation files: each truth time is scored
-    against the nearest predicted time."""
+    against the nearest predicted time, which must lie within half the larger
+    of the two files' median steps."""
     truth = read_situations(truth_path)
     predicted = read_situations(predicted_path)
     pred_times = sorted(predicted)
     truth_times = sorted(truth)
+    nearest = _nearest(pred_times, truth_times)
+    reach = max(_median_step(truth_times), _median_step(pred_times)) / 2
+    gaps = np.abs(np.asarray(pred_times)[nearest] - truth_times)
+    uncovered = np.flatnonzero(gaps > reach + 1e-9)
+    if uncovered.size:
+        raise SchemaError(
+            f"no predicted situations within {reach!r} s of the truth time "
+            f"t={truth_times[uncovered[0]]!r}",
+            path=predicted_path,
+        )
     rows: list[MetricsRow] = []
     scored = None  # the (truth, predicted) situations that the last row scores
-    for t, i in zip(truth_times, _nearest(pred_times, truth_times)):
+    for t, i in zip(truth_times, nearest):
         inputs = (truth[t], predicted[pred_times[i]])
         if inputs == scored:
             rows.append(replace(rows[-1], time=t))

@@ -9,7 +9,7 @@ Log records are ``time;type;from;to|*;payload`` lines with opinions as
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .opinions import Opinion, format_opinion, parse_opinion
 
@@ -85,17 +85,19 @@ def encode_record(time: float, msg: Message, sender: int, target: Optional[int])
     return _line(time, msg, sender, target, encode_payload(msg))
 
 
-def encode_records(
-    records: Iterable[tuple[float, Message, int, Optional[int]]]
-) -> Iterator[str]:
-    """``encode_record`` of each (time, message, sender, target), with its
-    newline. Within one call, each distinct head, request or response
-    payload is encoded once, and a pair's ``lo:hi:b,d,u,a`` text is reused
-    while its next opinion equals its last."""
-    payloads: dict[Message, str] = {}
-    pair_fields: dict[tuple[int, int], tuple[Opinion, str]] = {}
-    for time, msg, sender, target in records:
+class LineEncoder:
+    """``encode_record`` of one (time, message, sender, target) per call, with
+    its newline. Over the encoder's life, each distinct head, request or
+    response payload is encoded once, and a pair's ``lo:hi:b,d,u,a`` text is
+    reused while its next opinion equals its last."""
+
+    def __init__(self) -> None:
+        self._payloads: dict[Message, str] = {}
+        self._pair_fields: dict[tuple[int, int], tuple[Opinion, str]] = {}
+
+    def __call__(self, time: float, msg: Message, sender: int, target: Optional[int]) -> str:
         if isinstance(msg, MemberMsg):
+            pair_fields = self._pair_fields
             fields = [str(msg.head)]
             for pair, op in msg.opinions.items():
                 last = pair_fields.get(pair)
@@ -106,10 +108,10 @@ def encode_records(
                 fields.append(last[1])
             payload = "|".join(fields)
         else:
-            payload = payloads.get(msg)
+            payload = self._payloads.get(msg)
             if payload is None:
-                payload = payloads[msg] = encode_payload(msg)
-        yield _line(time, msg, sender, target, payload) + "\n"
+                payload = self._payloads[msg] = encode_payload(msg)
+        return _line(time, msg, sender, target, payload) + "\n"
 
 
 def decode_record(line: str) -> tuple[float, Message, int, Optional[int]]:

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import gzip
 import warnings
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .messages import HeadMsg, Message, encode_record, encode_records
+from .messages import HeadMsg, LineEncoder, Message, decode_record, encode_record
 from .protocol import Agent, concerned_receivers
 
 # A scheduler picks the index of the next ready delivery, one per receiver of
@@ -64,26 +66,83 @@ class LogEntry(NamedTuple):
         return encode_record(self.time, self.message, self.sender, self.target)
 
 
-@dataclass
 class DeliveryLog:
-    entries: list[LogEntry] = field(default_factory=list)
-    # step -> agent id -> number of agents within comm range
-    neighbor_counts: dict[int, dict[int, int]] = field(default_factory=dict)
+    """Every emission of a run, held as the wire lines the log file gets.
+
+    ``append`` encodes an emission's line once, into the UTF-8 ``body``.
+    Beside the body sit per-emission columns: the step, the sender, the end
+    of the line in ``body`` and the receivers (the range table's own tuple).
+    No message object is kept: ``entries`` decodes the lines when read."""
+
+    def __init__(self) -> None:
+        self.body = bytearray()
+        self.steps = array("q")
+        self.senders = array("q")
+        self.ends = array("q")
+        self.receivers: list[tuple[int, ...]] = []
+        # step -> agent id -> number of agents within comm range
+        self.neighbor_counts: dict[int, dict[int, int]] = {}
+        self._encode = LineEncoder()
+
+    def append(
+        self,
+        step: int,
+        time: float,
+        message: Message,
+        sender: int,
+        target: Optional[int],
+        receivers: tuple[int, ...],
+    ) -> None:
+        self.body += self._encode(time, message, sender, target).encode("utf-8")
+        self.steps.append(step)
+        self.senders.append(sender)
+        self.ends.append(len(self.body))
+        self.receivers.append(receivers)
+
+    @property
+    def entries(self) -> LogEntries:
+        return LogEntries(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeliveryLog):
+            return NotImplemented
+        # the body also fixes the senders and the line ends
+        return (self.body, self.steps, self.receivers, self.neighbor_counts) == (
+            other.body,
+            other.steps,
+            other.receivers,
+            other.neighbor_counts,
+        )
 
     def write(self, path) -> None:
-        """Write the wire lines. A plain log is streamed line by line; a gzip
-        log compresses the whole body in one call, because zlib's output
-        depends on how its input is chunked and the bytes must stay the same."""
-        lines = encode_records((e.time, e.message, e.sender, e.target) for e in self.entries)
-        if str(path).endswith(".gz"):
-            body = "".join(lines).encode("utf-8")
-            # fixed mtime and empty name keep the output reproducible
-            with open(path, "wb") as raw:
+        """Write the wire lines in one call. A gzip log compresses the whole
+        body in one call too, because zlib's output depends on how its input
+        is chunked and the bytes must stay the same."""
+        with open(path, "wb") as raw:
+            if str(path).endswith(".gz"):
+                # fixed mtime and empty name keep the output reproducible
                 with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as fh:
-                    fh.write(body)
-        else:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(lines)
+                    fh.write(self.body)
+            else:
+                raw.write(self.body)
+
+
+class LogEntries(Sequence):
+    """A log's emissions as ``LogEntry``s, decoded from the wire lines on
+    each read; ``len`` decodes nothing."""
+
+    def __init__(self, log: DeliveryLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log.steps)
+
+    def __getitem__(self, index: int) -> LogEntry:
+        log = self._log
+        k = range(len(log.steps))[index]
+        start = log.ends[k - 1] if k else 0
+        time, message, sender, target = decode_record(log.body[start : log.ends[k]].decode("utf-8"))
+        return LogEntry(log.steps[k], time, message, sender, target, log.receivers[k])
 
 
 @dataclass(frozen=True)
@@ -176,7 +235,8 @@ class Network:
         counts = within.sum(axis=1)
         ends = np.cumsum(counts).tolist()
         # a receiver tuple or count table equal to the previous step's keeps
-        # its object: log entries hold the tuples, and the counts stay all run
+        # its object: the log's receivers column holds the tuples, and the
+        # counts stay all run
         previous = self._receivers
         table = {}
         for aid, start, end in zip(ids, [0] + ends, ends):
@@ -208,7 +268,7 @@ class Network:
             if receivers:
                 queue = self._queue.setdefault(base_step + cfg.latency, deque())
                 queue.append((message, sender, receivers, note))
-            self.log.entries.append(LogEntry(base_step, now, message, sender, target, receivers))
+            self.log.append(base_step, now, message, sender, target, receivers)
 
     def _drain(self, now: float, agents: dict[int, Agent]) -> None:
         # FIFO walks each emission's receivers in order; what handlers emit
@@ -245,13 +305,13 @@ def audit_message_bound(log: DeliveryLog, window: int) -> BoundReport:
     with n its peak in-communication-range neighbor count in the window."""
     if window <= 0:
         raise ValueError("window must be a positive number of cycles")
-    if not log.entries:
+    if not log.steps:
         return BoundReport(windows_checked=0, violations=())
     emitted: dict[int, dict[int, int]] = {}
-    for entry in log.entries:
-        emitted.setdefault(entry.sender, {}).setdefault(entry.step, 0)
-        emitted[entry.sender][entry.step] += 1
-    last_step = max(e.step for e in log.entries)
+    for sender, step in zip(log.senders, log.steps):
+        per_step = emitted.setdefault(sender, {})
+        per_step[step] = per_step.get(step, 0) + 1
+    last_step = max(log.steps)
     violations: list[BoundViolation] = []
     checked = 0
     for agent in sorted(emitted):

@@ -1106,8 +1106,10 @@ class TestOfflineCompare:
     # sha256 of the `socsim metrics --out` file in each format, and the
     # stdout summary, for two comparisons: the quick scenario's ground truth
     # against the partitions of another seed, and the triads fixture truth
-    # (agents 1-9) against the quick partitions (agents 0-7), so truth
-    # agents the prediction lacks are padded as singletons
+    # (agents 1-9) up to the quick run's end at 60 s against the quick
+    # partitions (agents 0-7), so truth agents the prediction lacks are
+    # padded as singletons. Its rows are the first 121 of the full fixture's,
+    # which the quick partitions do not cover.
     PINNED = {
         "quick_vs_seed8": (
             "2ce3d97d99a3ab4e4b102867ad6b95cd938a944a48c05c32e7ca59d8d05d1dc3",
@@ -1124,17 +1126,17 @@ class TestOfflineCompare:
             },
         ),
         "triads_truth_vs_quick": (
-            "7785d65a967f2460c809977c7c97d9b439f0741b3daa40ec555615b495598ee5",
-            "3d28017264915ea949bb61475e37724a1dda4554d077fbb7107052ed466e257b",
+            "c5f30c3f967a206d3b5e311844da46baccaccc3f06e13a06f41fb2174cc329e3",
+            "6961e08b8f3598f346a4c6d035836699f57b74baed206ed1b6dcb235bb7326c3",
             {
-                "ari_mean": -0.005012531328320803,
-                "ari_std": 0.015449659155310717,
+                "ari_mean": -0.009569377990430622,
+                "ari_std": 0.02029971620631237,
                 "fp_pairs_total": 22,
                 "jaccard_mean": 0.0,
                 "jaccard_std": 0.0,
-                "rand_mean": 0.7473544973544973,
-                "rand_std": 0.008153986776413994,
-                "samples": 231,
+                "rand_mean": 0.7449494949494949,
+                "rand_std": 0.010713739108887088,
+                "samples": 121,
             },
         ),
     }
@@ -1164,6 +1166,25 @@ class TestOfflineCompare:
         changed = sum(a != b for a, b in zip([None] + inputs, inputs))
         assert scored == changed < len(inputs)
 
+    def test_prediction_not_covering_truth_exit_one(self, tmp_path, capsys):
+        # the triads replay's partitions cut after t=4.0 s: truth times from
+        # 5.0 s on have no predicted time within half the larger median step
+        root = Path(__file__).parent.parent
+        truth = root / "scenarios" / "fixtures" / "triads_truth.csv"
+        out = tmp_path / "replay"
+        config = root / "scenarios" / "triads.json"
+        assert cli.main(["replay", "--config", str(config), "--out-dir", str(out)]) == 0
+        header, *rows = (out / "partitions.csv").read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.csv"
+        cut.write_text(header + "".join(row for row in rows if float(row.split(",")[0]) <= 4.0))
+        capsys.readouterr()
+        assert cli.main(["metrics", "--truth", str(truth), "--predicted", str(out / "partitions.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 231
+        assert cli.main(["metrics", "--truth", str(truth), "--predicted", str(cut)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cut}: no predicted situations within 0.5 s of the truth time t=5.0" in captured.err
+
     def test_metrics_command_output_pinned(self, tmp_path, capsys):
         import dataclasses
         import hashlib
@@ -1174,13 +1195,18 @@ class TestOfflineCompare:
         quick = load_scenario(root / "scenarios" / "quick.json")
         run(quick, tmp_path / "seed7")
         run(dataclasses.replace(quick, seed=8), tmp_path / "seed8")
+        triads = (root / "scenarios" / "fixtures" / "triads_truth.csv").read_text()
+        header, *rows = triads.splitlines(keepends=True)
+        (tmp_path / "triads_to_60.csv").write_text(
+            header + "".join(row for row in rows if float(row.split(",")[0]) <= 60.0)
+        )
         pairs = {
             "quick_vs_seed8": (
                 tmp_path / "seed7" / "ground_truth.csv",
                 tmp_path / "seed8" / "partitions.csv",
             ),
             "triads_truth_vs_quick": (
-                root / "scenarios" / "fixtures" / "triads_truth.csv",
+                tmp_path / "triads_to_60.csv",
                 tmp_path / "seed7" / "partitions.csv",
             ),
         }

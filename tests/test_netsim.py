@@ -1,16 +1,21 @@
 """Network simulator tests: range, loss, determinism, message bound."""
 
+import gc
 import gzip
 import hashlib
 import tracemalloc
+from types import FunctionType, ModuleType
 
 import numpy as np
 import pytest
 
 from socsim import messages as messages_module
+from socsim import netsim
+from socsim.harness import run
 from socsim.messages import HeadMsg, MemberMsg, RequestMsg, encode_payload, message_type
 from socsim.netsim import (
     BoundReport,
+    BoundViolation,
     DeliveryLog,
     LogEntry,
     NetConfig,
@@ -21,6 +26,7 @@ from socsim.opinions import Opinion, format_opinion
 from socsim.protocol import Agent, AgentKind, ProtocolConfig, Role
 
 from conftest import counted
+from test_golden import CASES
 
 STRONG = Opinion(0.9, 0.05, 0.05, 0.2)
 
@@ -239,11 +245,27 @@ def run_triad(steps=12, **proto_kwargs):
     return agents, net
 
 
+def capture_appends(monkeypatch) -> list[LogEntry]:
+    """Record each emission as the log's one append path receives it, before
+    it is encoded."""
+    captured = []
+    append = DeliveryLog.append
+
+    def capture(log, *emission):
+        captured.append(LogEntry(*emission))
+        append(log, *emission)
+
+    monkeypatch.setattr(DeliveryLog, "append", capture)
+    return captured
+
+
 class TestSharing:
-    def test_unchanged_cluster_sends_one_member_set(self):
-        agents, net = run_triad()
+    def test_unchanged_cluster_sends_one_member_set(self, monkeypatch):
+        # the log holds wire lines, so the objects sent are read where they are appended
+        emitted = capture_appends(monkeypatch)
+        agents, _ = run_triad()
         assert agents[1].members == {1, 2, 3}
-        sent = [e.message for e in net.log.entries if isinstance(e.message, HeadMsg)]
+        sent = [e.message for e in emitted if isinstance(e.message, HeadMsg)]
         assert all(m.agent_members is m.human_members for m in sent)
         settled = [m for m in sent if m.head == 1 and m.agent_members == {1, 2, 3}]
         assert len(settled) >= 5
@@ -269,7 +291,10 @@ class TestSharing:
 class TestWrite:
     def big_log(self):
         _, net = run_triad()
-        log = DeliveryLog(net.log.entries * 400, net.log.neighbor_counts)
+        log = DeliveryLog()
+        for _ in range(400):
+            for entry in net.log.entries:
+                log.append(*entry)
         body = "".join(e.wire_line() + "\n" for e in log.entries).encode("utf-8")
         return log, body
 
@@ -316,20 +341,105 @@ class TestWrite:
             MemberMsg(2, 1, {(1, 2): Opinion(-0.0, 0.5, 0.5, 0.2)}),
             MemberMsg(2, 1, {(1, 2): zero}),
         ]
-        log = DeliveryLog(
-            [LogEntry(k, float(k), m, m[0], None, (1, 2, 3)) for k, m in enumerate(messages)]
-        )
-        expected = "".join(e.wire_line() + "\n" for e in log.entries)
+        emissions = [LogEntry(k, float(k), m, m[0], None, (1, 2, 3)) for k, m in enumerate(messages)]
+        expected = "".join(e.wire_line() + "\n" for e in emissions)
         assert "1:2:-0.0,0.5,0.5,0.2" in expected
         payloads, opinions = [], []
         monkeypatch.setattr(messages_module, "encode_payload", counted(encode_payload, payloads))
         monkeypatch.setattr(messages_module, "format_opinion", counted(format_opinion, opinions))
+        # the log encodes each emission as it is appended
+        log = DeliveryLog()
+        for emission in emissions:
+            log.append(*emission)
         log.write(tmp_path / "messages.log")
         assert (tmp_path / "messages.log").read_text() == expected
         # one head and one request payload; (1, 2) formatted for the first,
         # the changed and each zero opinion, and (2, 3) once
         assert len(payloads) == 2
         assert len(opinions) == 6
+
+
+def reference_audit(entries, neighbor_counts, window: int) -> BoundReport:
+    """The (2n+1) audit as a loop over decoded log entries."""
+    if not entries:
+        return BoundReport(windows_checked=0, violations=())
+    emitted: dict[int, dict[int, int]] = {}
+    for entry in entries:
+        emitted.setdefault(entry.sender, {}).setdefault(entry.step, 0)
+        emitted[entry.sender][entry.step] += 1
+    last_step = max(e.step for e in entries)
+    violations = []
+    checked = 0
+    for agent in sorted(emitted):
+        for start in range(0, last_step + 1, window):
+            steps = range(start, min(start + window, last_step + 1))
+            count = sum(emitted[agent].get(s, 0) for s in steps)
+            if count == 0:
+                continue
+            checked += 1
+            peak = max((neighbor_counts.get(s, {}).get(agent, 0) for s in steps), default=0)
+            bound = (2 * peak + 1) * len(steps)
+            if count > bound:
+                violations.append(BoundViolation(agent, start, count, bound, peak))
+    return BoundReport(windows_checked=checked, violations=tuple(violations))
+
+
+def scheduled_log() -> DeliveryLog:
+    """A run under an adversarial scheduler, with loss, latency and an
+    injected handover."""
+    _, agents, positions = make_world(range(5), {i: (3.0 * i, 0.0) for i in range(5)})
+    net = Network(
+        NetConfig(loss_probability=0.3, latency=1),
+        seed=3,
+        scheduler=lambda now, ready: len(ready) - 1,
+    )
+    for k in range(8):
+        feed_mutual_percept(agents, positions, float(k))
+        net.step(float(k), positions, agents)
+        if k == 2:
+            net.inject(float(k), 1, [(HeadMsg(3, frozenset({1, 3}), frozenset({1, 3})), None)])
+    return net.log
+
+
+class TestLogOracle:
+    """The log holds only wire bytes and columns; what it gives back must be
+    what each emission sent."""
+
+    @pytest.mark.parametrize("name", sorted(CASES) + ["scheduler"])
+    def test_log_reads_back_every_emission(self, name, monkeypatch):
+        captured = capture_appends(monkeypatch)
+        log = scheduled_log() if name == "scheduler" else run(CASES[name]()).network.log
+        assert captured and len(log.entries) == len(captured)
+        for decoded, sent in zip(log.entries, captured):
+            for field in LogEntry._fields:
+                assert getattr(decoded, field) == getattr(sent, field), (field, sent)
+            assert decoded.delivered_to is sent.delivered_to
+        assert log.body == "".join(e.wire_line() + "\n" for e in captured).encode("utf-8")
+        # the length and the audit read the columns alone
+        monkeypatch.setattr(netsim, "decode_record", None)
+        assert len(log.entries) == len(captured)
+        for window in (1, 5, 30):
+            expected = reference_audit(captured, log.neighbor_counts, window)
+            assert audit_message_bound(log, window) == expected
+        assert expected.windows_checked > 0
+
+    def test_log_keeps_no_member_message(self, monkeypatch):
+        # what receivers evict is freed: nothing of a member message stays
+        # reachable from the log, neither the message nor its opinion dict
+        captured = capture_appends(monkeypatch)
+        log = run(CASES["quick"]()).network.log
+        indices = {id(e.message.opinions) for e in captured if isinstance(e.message, MemberMsg)}
+        assert indices
+        seen, stack = set(), [log]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, MemberMsg)
+            assert id(obj) not in indices
+            stack.extend(gc.get_referents(obj))
+        assert all(id(receivers) in seen for receivers in log.receivers)
 
 
 class TestRangeWarning:

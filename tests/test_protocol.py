@@ -886,8 +886,10 @@ class TestSenderIndexedStore:
         net.step(0.0, positions, agents)
         [entry] = [e for e in net.log.entries if isinstance(e.message, MemberMsg)]
         assert entry.delivered_to == (2, 3, 4)
-        for r in entry.delivered_to:
-            assert agents[r].reports[1][-1][1] is entry.message.opinions
+        # the log decodes its entries, so the receivers are checked against each other
+        held = [agents[r].reports[1][-1][1] for r in entry.delivered_to]
+        assert all(index is held[0] for index in held)
+        assert held[0] == entry.message.opinions
 
 
 class TestLazyOwnReports:
