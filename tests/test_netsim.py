@@ -341,7 +341,10 @@ class TestWrite:
             MemberMsg(2, 1, {(1, 2): Opinion(-0.0, 0.5, 0.5, 0.2)}),
             MemberMsg(2, 1, {(1, 2): zero}),
         ]
-        emissions = [LogEntry(k, float(k), m, m[0], None, (1, 2, 3)) for k, m in enumerate(messages)]
+        emissions = [
+            LogEntry(k, float(k), m, m[0], None, (1, 2, 3))
+            for k, m in enumerate(messages)
+        ]
         expected = "".join(e.wire_line() + "\n" for e in emissions)
         assert "1:2:-0.0,0.5,0.5,0.2" in expected
         payloads, opinions = [], []
