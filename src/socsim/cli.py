@@ -90,9 +90,11 @@ def _cmd_replay(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
-    raw_values = [v for v in args.values.split(",") if v]
-    if not raw_values:
+    raw_values = args.values.split(",")
+    if raw_values == [""]:
         raise SchemaError("sweep needs at least one value")
+    if "" in raw_values:
+        raise SchemaError(f"--values item {raw_values.index('') + 1} is empty")
     values = [int(v) if args.parameter == "n_agents" else float(v) for v in raw_values]
     rows = harness.sweep(scenario, args.parameter, values, args.out_dir, fmt=args.format)
     for row in rows:

@@ -14,6 +14,7 @@ import gc
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -212,8 +213,14 @@ def ingest_trace(
     warning; non-finite times, coordinates and angles are rejected. Each
     frame takes the situations of the nearest truth time, and each frame
     that ``scored`` indexes (by default every frame) must lie within half
-    a step of one, the larger of the trace's and the truth file's."""
-    rows: dict[float, list[tuple[int, float, float, float]]] = {}
+    a step of one, the larger of the trace's and the truth file's.
+
+    Rows are read into typed columns, then ordered by time and agent id in
+    one sort. A frame's ``pos`` and ``angle`` are read-only views into two
+    arrays shared by the whole trace, and a frame whose ids equal the
+    previous frame's shares its ids tuple."""
+    times, ids = array("d"), array("q")
+    xs, ys, angles = array("d"), array("d"), array("d")
     normalized = 0
     two_pi = 2 * math.pi
     isfinite = math.isfinite
@@ -231,29 +238,47 @@ def ingest_trace(
         if new_time:
             if not isfinite(t):
                 raise SchemaError("non-finite time, coordinate or angle", line=lineno, path=path)
-            time_text, frame_rows = parts[0], rows.setdefault(t, [])
+            time_text = parts[0]
         if not (isfinite(x) and isfinite(y) and isfinite(ang)):
             raise SchemaError("non-finite time, coordinate or angle", line=lineno, path=path)
         if not 0.0 <= ang < two_pi:
             ang = ang % two_pi
             normalized += 1
-        frame_rows.append((aid, x, y, ang))
+        try:
+            ids.append(aid)
+        except OverflowError:
+            raise SchemaError(f"agent id {aid} exceeds 64 bits", line=lineno, path=path) from None
+        times.append(t)
+        xs.append(x)
+        ys.append(y)
+        angles.append(ang)
     if normalized:
         log.warning("normalized %d shoulder angles into [0, 2*pi)", normalized)
-    if not rows:
+    if not times:
         raise SchemaError("trace file contains no frames", path=path)
-    times = sorted(rows)
-    frames = [_build_frame(t, rows[t], path) for t in times]
+    frame_times, bounds, order = _split_by_time(
+        np.frombuffer(times), np.frombuffer(ids, np.int64), path
+    )
+    pos = np.column_stack((np.frombuffer(xs)[order], np.frombuffer(ys)[order]))
+    angle = np.frombuffer(angles)[order]
+    pos.flags.writeable = angle.flags.writeable = False
+    sorted_ids = np.frombuffer(ids, np.int64)[order].tolist()
+    frames: list[TraceFrame] = []
+    frame_ids: tuple[int, ...] = ()
+    for t, start, end in zip(frame_times, bounds, bounds[1:]):
+        now_ids = tuple(sorted_ids[start:end])
+        frame_ids = frame_ids if now_ids == frame_ids else now_ids
+        frames.append(TraceFrame(t, frame_ids, pos[start:end], angle[start:end]))
     dt = 0.0
-    if len(times) > 1:
-        diffs = np.diff(times)
+    if len(frame_times) > 1:
+        diffs = np.diff(frame_times)
         dt = float(np.median(diffs))
         if np.any(np.abs(diffs - dt) > 1e-6):
             log.warning("irregular trace timestep; resampling by nearest frame")
-            grid = np.arange(times[0], times[-1] + dt / 2, dt)
+            grid = np.arange(frame_times[0], frame_times[-1] + dt / 2, dt)
             frames = [
                 dataclasses.replace(frames[i], time=float(g))
-                for g, i in zip(grid, _nearest(times, grid))
+                for g, i in zip(grid, _nearest(frame_times, grid))
             ]
     truth = None
     if ground_truth is not None:
@@ -264,11 +289,30 @@ def ingest_trace(
     return frames, truth
 
 
+def _split_by_time(
+    times: np.ndarray, ids: np.ndarray, path: Path
+) -> tuple[list[float], list[int], np.ndarray]:
+    """Order trace rows by time, then agent id, in one stable sort. Returns
+    each frame's time (as first written in the file), the bounds of its rows
+    in that order (frame k is rows ``bounds[k]:bounds[k + 1]``) and the order.
+    An agent listed twice in one frame is an error, named at its earliest frame."""
+    order = np.lexsort((ids, times))
+    times_sorted, ids_sorted = times[order], ids[order]
+    same_time = times_sorted[1:] == times_sorted[:-1]
+    starts = np.concatenate(([0], np.flatnonzero(~same_time) + 1))
+    frame_times = times[np.minimum.reduceat(order, starts)].tolist()
+    repeated = np.flatnonzero(same_time & (ids_sorted[1:] == ids_sorted[:-1]))
+    if repeated.size:
+        frame = int(np.searchsorted(starts, repeated[0], side="right")) - 1
+        raise SchemaError(f"duplicate agent ids in frame at t={frame_times[frame]}", path=path)
+    return frame_times, starts.tolist() + [len(order)], order
+
+
 def read_situations(path: Path) -> dict[float, list[frozenset[int]]]:
     """Read a ``time,situation_id,member_ids`` file (ground truth or
     protocol partitions) into the member sets listed at each time, one
-    object per distinct set. An agent listed twice at one time, and a file
-    with no situation rows, are errors."""
+    object per distinct set. An empty member list or member id, an agent
+    listed twice at one time, and a file with no situation rows, are errors."""
     situations: dict[float, list[frozenset[int]]] = {}
     listed: dict[float, set[int]] = {}
     distinct: dict[frozenset[int], frozenset[int]] = {}
@@ -282,7 +326,10 @@ def read_situations(path: Path) -> dict[float, list[frozenset[int]]]:
             if new_time:
                 t = float(parts[0])
             if members is None:
-                fresh = frozenset(int(v) for v in parts[2].split(";") if v)
+                texts = parts[2].split(";") if parts[2] else []
+                if "" in texts:
+                    raise ValueError(f"empty member id in {parts[2]!r}")
+                fresh = frozenset(map(int, texts))
                 members = parsed[parts[2]] = distinct.setdefault(fresh, fresh)
         except ValueError as exc:
             raise SchemaError(str(exc), line=lineno, path=path) from exc
@@ -339,16 +386,6 @@ def _nearest(times: Sequence[float], queries: Sequence[float]) -> np.ndarray:
 def _median_step(times: Sequence[float]) -> float:
     """The median gap between the ascending ``times``; 0 for a single time."""
     return float(np.median(np.diff(times))) if len(times) > 1 else 0.0
-
-
-def _build_frame(t: float, rows: list[tuple[int, float, float, float]], path: Path) -> TraceFrame:
-    rows = sorted(rows)
-    ids = tuple(r[0] for r in rows)
-    if len(set(ids)) != len(ids):
-        raise SchemaError(f"duplicate agent ids in frame at t={t}", path=path)
-    pos = np.array([[r[1], r[2]] for r in rows], dtype=float)
-    ang = np.array([r[3] for r in rows], dtype=float)
-    return TraceFrame(t, ids, pos, ang)
 
 
 def _align_truth(
@@ -482,6 +519,8 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
     scored = None  # the (truth, universe, partition) that the last row scores
     partitions: list[tuple[float, Partition]] = []
     role_samples: list[tuple[float, dict[int, tuple[Role, int]]]] = []
+    # one object per distinct block, partition and (role, head) pair of the run
+    shared: dict = {}
 
     for k in range(n_periods + 1):
         now = k * period
@@ -511,10 +550,9 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
 
         if k % sample_every == 0:
             universe = frozenset(frames[frame_idx].ids)
-            protocol_partition = extract_partition(agents, network, universe, scenario.protocol)
-            # a sample equal to the previous one keeps its object
-            if partitions and partitions[-1][1] == protocol_partition:
-                protocol_partition = partitions[-1][1]
+            protocol_partition = extract_partition(
+                agents, network, universe, scenario.protocol, shared
+            )
             partitions.append((now, protocol_partition))
             inputs = (None if truth is None else truth[frame_idx], universe, protocol_partition)
             if inputs == scored:
@@ -525,7 +563,11 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
                 )
                 metrics_rows.append(_score(now, truth_partition, protocol_partition))
                 scored = inputs
-            roles = {aid: (a.role, a.head_id) for aid, a in sorted(agents.items())}
+            roles = {}
+            for aid, agent in sorted(agents.items()):
+                pair = (agent.role, agent.head_id)
+                roles[aid] = shared.setdefault(pair, pair)
+            # a sample equal to the previous one keeps its object
             if role_samples and role_samples[-1][1] == roles:
                 roles = role_samples[-1][1]
             role_samples.append((now, roles))
@@ -595,10 +637,15 @@ def extract_partition(
     network: Network,
     universe: frozenset[int],
     config: ProtocolConfig,
+    shared: dict,
 ) -> Partition:
     """The situation partition an external observer of the message stream
     would infer: the latest head message of each live head claims its
-    members; agents claimed by no head or by several count as singletons."""
+    members; agents claimed by no head or by several count as singletons.
+
+    ``shared`` holds the run's sample objects, each keyed by itself and a
+    partition by its blocks: an equal block or partition seen before in the
+    run is returned as that object, and only a new partition is built."""
     live_heads = [
         aid
         for aid, agent in sorted(agents.items())
@@ -620,8 +667,15 @@ def extract_partition(
         if len(heads) == 1 and heads[0] in blocks and member not in assigned:
             blocks[heads[0]].add(member)
             assigned.add(member)
-    leftovers = [{a} for a in universe - assigned]
-    return Partition(list(blocks.values()) + leftovers)
+    found = [frozenset(b) for b in blocks.values()]
+    found += [frozenset((a,)) for a in universe - assigned]
+    # blocks are disjoint, so their least members order them as Partition does
+    key = tuple(sorted((shared.setdefault(b, b) for b in found), key=min))
+    partition = shared.get(key)
+    if partition is None:
+        partition = Partition(key)
+        shared[partition.blocks] = partition
+    return partition
 
 
 def _score(time: float, truth: Optional[Partition], pred: Partition) -> MetricsRow:

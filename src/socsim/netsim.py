@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import gzip
 import warnings
+import zlib
 from array import array
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,13 +71,21 @@ class LogEntry(NamedTuple):
 class DeliveryLog:
     """Every emission of a run, held as the wire lines the log file gets.
 
-    ``append`` encodes an emission's line once, into the UTF-8 ``body``.
-    Beside the body sit per-emission columns: the step, the sender, the end
-    of the line in ``body`` and the receivers (the range table's own tuple).
-    No message object is kept: ``entries`` decodes the lines when read."""
+    ``append`` encodes an emission's line once, into the UTF-8 body. The body
+    is kept as zlib chunks (level 1) and an open tail: the tail is sealed into
+    a chunk once it reaches ``CHUNK_BYTES``, always after a whole line, so no
+    line spans two chunks. Beside the body sit per-emission columns: the
+    step, the sender, the end of the line in the whole body and the
+    receivers (the range table's own tuple). No message object is kept:
+    ``entries`` decodes the lines when read."""
+
+    CHUNK_BYTES = 1 << 16
 
     def __init__(self) -> None:
-        self.body = bytearray()
+        self.chunks: list[bytes] = []
+        # the end of each chunk in the whole body; the tail starts at the last
+        self.chunk_ends = array("q")
+        self.tail = bytearray()
         self.steps = array("q")
         self.senders = array("q")
         self.ends = array("q")
@@ -93,11 +103,30 @@ class DeliveryLog:
         target: Optional[int],
         receivers: tuple[int, ...],
     ) -> None:
-        self.body += self._encode(time, message, sender, target).encode("utf-8")
+        tail = self.tail
+        tail += self._encode(time, message, sender, target).encode("utf-8")
         self.steps.append(step)
         self.senders.append(sender)
-        self.ends.append(len(self.body))
+        self.ends.append(self.tail_start + len(tail))
         self.receivers.append(receivers)
+        if len(tail) >= self.CHUNK_BYTES:
+            self.chunks.append(zlib.compress(tail, 1))
+            self.chunk_ends.append(self.tail_start + len(tail))
+            self.tail = bytearray()
+
+    @property
+    def tail_start(self) -> int:
+        return self.chunk_ends[-1] if self.chunk_ends else 0
+
+    def _body_parts(self) -> Iterator[bytes]:
+        """The whole body in order, one decompressed chunk at a time."""
+        for chunk in self.chunks:
+            yield zlib.decompress(chunk)
+        yield bytes(self.tail)
+
+    def body(self) -> bytes:
+        """The whole body: every wire line, in emission order."""
+        return b"".join(self._body_parts())
 
     @property
     def entries(self) -> LogEntries:
@@ -106,33 +135,38 @@ class DeliveryLog:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeliveryLog):
             return NotImplemented
-        # the body also fixes the senders and the line ends
-        return (self.body, self.steps, self.receivers, self.neighbor_counts) == (
-            other.body,
+        # equal lines seal into equal chunks; the body also fixes the
+        # senders and the line ends
+        return (self.chunks, self.tail, self.steps, self.receivers, self.neighbor_counts) == (
+            other.chunks,
+            other.tail,
             other.steps,
             other.receivers,
             other.neighbor_counts,
         )
 
     def write(self, path) -> None:
-        """Write the wire lines in one call. A gzip log compresses the whole
-        body in one call too, because zlib's output depends on how its input
-        is chunked and the bytes must stay the same."""
+        """Write the wire lines. A plain log is written chunk by chunk; a gzip
+        log compresses the whole body in one call, because zlib's output
+        depends on how its input is chunked and the bytes must stay the same."""
         with open(path, "wb") as raw:
             if str(path).endswith(".gz"):
                 # fixed mtime and empty name keep the output reproducible
                 with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as fh:
-                    fh.write(self.body)
+                    fh.write(self.body())
             else:
-                raw.write(self.body)
+                raw.writelines(self._body_parts())
 
 
 class LogEntries(Sequence):
     """A log's emissions as ``LogEntry``s, decoded from the wire lines on
-    each read; ``len`` decodes nothing."""
+    each read; ``len`` decodes nothing. A line's chunk is found by bisection,
+    and the last chunk decompressed is kept for the next read."""
 
     def __init__(self, log: DeliveryLog) -> None:
         self._log = log
+        self._chunk = -1
+        self._text = b""
 
     def __len__(self) -> int:
         return len(self._log.steps)
@@ -140,8 +174,16 @@ class LogEntries(Sequence):
     def __getitem__(self, index: int) -> LogEntry:
         log = self._log
         k = range(len(log.steps))[index]
-        start = log.ends[k - 1] if k else 0
-        time, message, sender, target = decode_record(log.body[start : log.ends[k]].decode("utf-8"))
+        start, end = log.ends[k - 1] if k else 0, log.ends[k]
+        c = bisect_right(log.chunk_ends, start)
+        if c == len(log.chunks):
+            text, offset = log.tail, log.tail_start
+        else:
+            if c != self._chunk:
+                self._chunk, self._text = c, zlib.decompress(log.chunks[c])
+            text, offset = self._text, log.chunk_ends[c - 1] if c else 0
+        record = text[start - offset : end - offset].decode("utf-8")
+        time, message, sender, target = decode_record(record)
         return LogEntry(log.steps[k], time, message, sender, target, log.receivers[k])
 
 

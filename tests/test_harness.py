@@ -3,12 +3,14 @@
 import dataclasses
 import gc
 import json
+import logging
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socsim import cli, harness
@@ -190,6 +192,15 @@ class TestIngest:
             compare_partition_files(path, path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("members", ["1;;2", "1;2;", ";1", ";"])
+    def test_empty_member_id_rejected_with_line(self, tmp_path, members):
+        path = tmp_path / "truth.csv"
+        path.write_text(f"time,situation_id,member_ids\n0.0,0,3\n0.0,1,{members}\n")
+        with pytest.raises(SchemaError) as err:
+            read_situations(path)
+        assert err.value.line == 3
+        assert str(err.value) == f"{path}: line 3: empty member id in {members!r}"
+
     def test_agent_in_two_situations_rejected_with_line(self, tmp_path):
         path = tmp_path / "pred.csv"
         # 2 is listed twice at t=0.5; the same sets at different times are fine
@@ -225,6 +236,179 @@ class TestIngest:
         for frame_truth in replayed:
             for block in frame_truth:
                 assert blocks.setdefault(block, block) is block
+
+
+def row_tuple_ingest(path: Path, ground_truth=None, scored=None):
+    """``ingest_trace`` as it was before columnar ingestion: one tuple per
+    row, grouped by time in a dict, each frame sorted and converted on its
+    own. Kept as the reference the columnar reader must match."""
+    rows: dict[float, list[tuple[int, float, float, float]]] = {}
+    normalized = 0
+    two_pi = 2 * math.pi
+    time_text = None
+    for lineno, parts in harness._csv_rows(path, harness.TRACE_HEADER):
+        new_time = parts[0] != time_text
+        try:
+            if new_time:
+                t = float(parts[0])
+            aid = int(parts[1])
+            x, y, ang = float(parts[2]), float(parts[3]), float(parts[4])
+        except ValueError as exc:
+            raise SchemaError(str(exc), line=lineno, path=path) from exc
+        if new_time:
+            if not math.isfinite(t):
+                raise SchemaError("non-finite time, coordinate or angle", line=lineno, path=path)
+            time_text, frame_rows = parts[0], rows.setdefault(t, [])
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(ang)):
+            raise SchemaError("non-finite time, coordinate or angle", line=lineno, path=path)
+        if not 0.0 <= ang < two_pi:
+            ang = ang % two_pi
+            normalized += 1
+        frame_rows.append((aid, x, y, ang))
+    if normalized:
+        harness.log.warning("normalized %d shoulder angles into [0, 2*pi)", normalized)
+    if not rows:
+        raise SchemaError("trace file contains no frames", path=path)
+    times = sorted(rows)
+    frames = []
+    for t in times:
+        frame_rows = sorted(rows[t])
+        ids = tuple(r[0] for r in frame_rows)
+        if len(set(ids)) != len(ids):
+            raise SchemaError(f"duplicate agent ids in frame at t={t}", path=path)
+        pos = np.array([[r[1], r[2]] for r in frame_rows], dtype=float)
+        ang = np.array([r[3] for r in frame_rows], dtype=float)
+        frames.append(TraceFrame(t, ids, pos, ang))
+    dt = 0.0
+    if len(times) > 1:
+        diffs = np.diff(times)
+        dt = float(np.median(diffs))
+        if np.any(np.abs(diffs - dt) > 1e-6):
+            harness.log.warning("irregular trace timestep; resampling by nearest frame")
+            grid = np.arange(times[0], times[-1] + dt / 2, dt)
+            frames = [
+                dataclasses.replace(frames[i], time=float(g))
+                for g, i in zip(grid, _nearest(times, grid))
+            ]
+    truth = None
+    if ground_truth is not None:
+        situations = read_situations(ground_truth)
+        if scored is None:
+            scored = range(len(frames))
+        truth = harness._align_truth(situations, frames, dt, scored, ground_truth)
+    return frames, truth
+
+
+_coordinate = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace CSV: frames at irregular steps, agents joining and leaving,
+    angles outside [0, 2*pi), equal times written differently, the rows in
+    any order, and at times one non-finite value or one repeated agent."""
+    steps = draw(st.lists(st.sampled_from([0.25, 0.5, 0.5, 0.5, 1.25]), max_size=6))
+    times = [draw(st.sampled_from([0.0, 0.5, 3.0]))]
+    for step in steps:
+        times.append(times[-1] + step)
+    rows = []
+    for t in times:
+        for aid in sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=5))):
+            angle = draw(st.floats(-20.0, 20.0) | st.sampled_from([0.0, 2 * math.pi]))
+            rows.append([t, aid, draw(_coordinate), draw(_coordinate), angle])
+    fault = draw(st.sampled_from([None, None, "repeat", "non-finite"]))
+    if fault == "repeat":
+        row = list(draw(st.sampled_from(rows)))
+        row[2] = draw(_coordinate)
+        rows.append(row)
+    elif fault == "non-finite":
+        row = draw(st.sampled_from(rows))
+        row[draw(st.sampled_from([0, 2, 3, 4]))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    lines = []
+    for t, aid, x, y, angle in draw(st.permutations(rows)):
+        if t == 0.0:
+            t = draw(st.sampled_from(["0.0", "-0.0", "0.00", "0"]))
+        elif isinstance(t, float):
+            t = draw(st.sampled_from([repr(t), repr(t) + "0"]))
+        values = [v if isinstance(v, str) else repr(v) for v in (x, y, angle)]
+        lines.append(",".join([t, str(aid), *values]))
+    return "\n".join([harness.TRACE_HEADER] + lines) + "\n"
+
+
+class _Recorded(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def ingest_outcome(ingest, path):
+    """What ``ingest`` makes of ``path``: its frames or its error, and the
+    warnings it logged."""
+    handler = _Recorded()
+    harness.log.addHandler(handler)
+    try:
+        outcome = ingest(path)[0]
+    except SchemaError as exc:
+        outcome = (str(exc), exc.line)
+    finally:
+        harness.log.removeHandler(handler)
+    return outcome, handler.messages
+
+
+class TestColumnarIngest:
+    """Columnar ingestion reads every trace as the row-tuple reader did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=trace_texts())
+    # a frame keeps the time as the file first wrote it, not as its least id did
+    @example(text="time,agent_id,x,y,shoulder_angle\n0.0,2,0,0,0\n-0.0,1,0,0,7\n0.5,1,0,0,0\n")
+    @example(text="time,agent_id,x,y,shoulder_angle\n-0.0,2,0,0,0\n0.0,1,0,0,0\n0,2,1,1,0\n")
+    def test_matches_row_tuple_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            path.write_text(text)
+            got, got_warnings = ingest_outcome(ingest_trace, path)
+            expected, expected_warnings = ingest_outcome(row_tuple_ingest, path)
+        assert got_warnings == expected_warnings
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert len(got) == len(expected)
+        for frame, reference in zip(got, expected):
+            assert repr(frame.time) == repr(reference.time)
+            assert frame.ids == reference.ids
+            for name in ("pos", "angle"):
+                array, ref = getattr(frame, name), getattr(reference, name)
+                assert array.dtype == ref.dtype and array.shape == ref.shape
+                assert array.tobytes() == ref.tobytes()
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
+        # consecutive trace frames share equal ids; resampling may reorder them
+        if not got_warnings or "resampling" not in got_warnings[-1]:
+            for before, after in zip(got, got[1:]):
+                assert before.ids is after.ids or before.ids != after.ids
+
+    def test_earliest_repeated_frame_named(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            f"{harness.TRACE_HEADER}\n1.0,3,0,0,0\n1.0,3,1,1,0\n"
+            "0.5,2,0,0,0\n0.5,1,0,0,0\n0.5,2,5,5,0\n0.0,1,0,0,0\n"
+        )
+        with pytest.raises(SchemaError) as err:
+            ingest_trace(path)
+        assert str(err.value) == f"{path}: duplicate agent ids in frame at t=0.5"
+
+    def test_agent_id_beyond_64_bits_rejected_with_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{harness.TRACE_HEADER}\n0.0,1,0,0,0\n0.0,{2**63},0,0,0\n")
+        with pytest.raises(SchemaError) as err:
+            ingest_trace(path)
+        assert err.value.line == 3
+        assert str(err.value) == f"{path}: line 3: agent id {2**63} exceeds 64 bits"
 
 
 class TestNearest:
@@ -993,6 +1177,30 @@ class TestCli:
         assert code == 1
         assert "noise_sigma_pos must be non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("values, item", [("0,,0.2", 2), (",0.1", 1), ("0.1,", 2)])
+    def test_sweep_rejects_empty_value_before_any_run(self, tmp_path, capsys, values, item):
+        config = self.write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = cli.main(
+            [
+                "sweep",
+                "--config", str(config),
+                "--parameter", "loss",
+                "--values", values,
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 1
+        assert f"--values item {item} is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_rejects_empty_member_id(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("time,situation_id,member_ids\n0.0,0,1;2\n0.5,0,1;;2\n")
+        code = cli.main(["metrics", "--truth", str(truth), "--predicted", str(truth)])
+        assert code == 1
+        assert f"{truth}: line 3: empty member id" in capsys.readouterr().err
 
     def test_metrics_subcommand(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

@@ -4,6 +4,7 @@ import gc
 import gzip
 import hashlib
 import tracemalloc
+import zlib
 from types import FunctionType, ModuleType
 
 import numpy as np
@@ -300,6 +301,7 @@ class TestWrite:
 
     def test_plain_log_is_the_wire_lines(self, tmp_path):
         log, body = self.big_log()
+        assert len(log.chunks) > 1 and log.body() == body
         log.write(tmp_path / "messages.log")
         assert (tmp_path / "messages.log").read_bytes() == body
 
@@ -362,6 +364,55 @@ class TestWrite:
         assert len(opinions) == 6
 
 
+class TestChunks:
+    """The body is sealed into zlib chunks after whole lines once the open
+    tail reaches ``CHUNK_BYTES``; reads and writes see one continuous body."""
+
+    @staticmethod
+    def filled_log() -> tuple[DeliveryLog, list[LogEntry]]:
+        """Two sealed chunks and an open tail, from the triad run's emissions."""
+        _, net = run_triad()
+        source = list(net.log.entries)
+        log, appended = DeliveryLog(), []
+        while len(log.chunks) < 2 or len(log.tail) < 1000:
+            for entry in source:
+                log.append(*entry)
+                appended.append(entry)
+        return log, appended
+
+    def test_chunks_hold_whole_lines(self):
+        log, appended = self.filled_log()
+        longest = max(len(e.wire_line()) + 1 for e in appended)
+        start = 0
+        for chunk, end in zip(log.chunks, log.chunk_ends):
+            text = zlib.decompress(chunk)
+            assert len(text) == end - start
+            assert log.CHUNK_BYTES <= len(text) < log.CHUNK_BYTES + longest
+            assert text.endswith(b"\n") and end in log.ends
+            start = end
+        assert log.tail_start == start and 0 < len(log.tail) < log.CHUNK_BYTES
+        assert log.ends[-1] == start + len(log.tail)
+
+    def test_lines_either_side_of_a_seal_decode(self):
+        log, appended = self.filled_log()
+        entries, n = log.entries, len(appended)
+        lasts = [list(log.ends).index(end) for end in log.chunk_ends]
+        for k in sorted({0, n - 1} | {i + d for i in lasts for d in (-1, 0, 1, 2)}):
+            expected = appended[k].wire_line()
+            assert entries[k].wire_line() == expected
+            assert entries[k - n].wire_line() == expected
+        # reading back to an earlier chunk decompresses that chunk again
+        assert entries[lasts[1]].wire_line() == appended[lasts[1]].wire_line()
+        assert entries[0].wire_line() == appended[0].wire_line()
+        assert [e.wire_line() for e in entries] == [e.wire_line() for e in appended]
+
+    def test_equal_runs_compare_equal(self):
+        first, second = (run(CASES["short_period_handover"]()).network.log for _ in range(2))
+        assert len(first.chunks) > 1 and first == second
+        second.append(0, 0.0, RequestMsg(1, frozenset({1, 2})), 1, 2, (2,))
+        assert first != second
+
+
 def reference_audit(entries, neighbor_counts, window: int) -> BoundReport:
     """The (2n+1) audit as a loop over decoded log entries."""
     if not entries:
@@ -417,7 +468,7 @@ class TestLogOracle:
             for field in LogEntry._fields:
                 assert getattr(decoded, field) == getattr(sent, field), (field, sent)
             assert decoded.delivered_to is sent.delivered_to
-        assert log.body == "".join(e.wire_line() + "\n" for e in captured).encode("utf-8")
+        assert log.body() == "".join(e.wire_line() + "\n" for e in captured).encode("utf-8")
         # the length and the audit read the columns alone
         monkeypatch.setattr(netsim, "decode_record", None)
         assert len(log.entries) == len(captured)
