@@ -180,6 +180,8 @@ def load_scenario(path: Path) -> Scenario:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
+    except IsADirectoryError:
+        raise SchemaError("is a directory, not a file", path=path) from None
     scenario = scenario_from_dict(raw)
     if isinstance(scenario.source, ReplaySource):
         base = Path(path).parent
@@ -244,6 +246,8 @@ def ingest_trace(
         if not 0.0 <= ang < two_pi:
             ang = ang % two_pi
             normalized += 1
+        if aid < 0:
+            raise SchemaError(f"agent id {aid} is negative", line=lineno, path=path)
         try:
             ids.append(aid)
         except OverflowError:
@@ -356,7 +360,11 @@ def read_situations(path: Path) -> dict[float, list[frozenset[int]]]:
 def _csv_rows(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank line after ``header``."""
     n_fields = header.count(",") + 1
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except IsADirectoryError:
+        raise SchemaError("is a directory, not a file", path=path) from None
+    with fh:
         found = fh.readline().strip()
         if found != header:
             raise SchemaError(f"expected header {header!r}, got {found!r}", line=1, path=path)

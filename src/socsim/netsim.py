@@ -14,12 +14,13 @@ others would leave their agent unchanged (``protocol.concerned_receivers``).
 from __future__ import annotations
 
 import gzip
+import pickle
 import warnings
 import zlib
 from array import array
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -68,30 +69,54 @@ class LogEntry(NamedTuple):
         return encode_record(self.time, self.message, self.sender, self.target)
 
 
+class NeighborCounts(Mapping):
+    """Read-only ``step -> {agent id: number of agents within comm range}``.
+    Per step it holds the ascending ids and a byte array of counts, each the
+    previous step's own object when equal to it."""
+
+    def __init__(self) -> None:
+        self._ids: list[tuple[int, ...]] = []
+        self._counts: list[array] = []
+
+    def append(self, ids: tuple[int, ...], counts: list[int]) -> None:
+        """Record the next step's counts, ``counts[i]`` that of ``ids[i]``."""
+        counts = array("B" if len(ids) <= 256 else "L", counts)
+        if self._ids:
+            ids = self._ids[-1] if self._ids[-1] == ids else ids
+            counts = self._counts[-1] if self._counts[-1] == counts else counts
+        self._ids.append(ids)
+        self._counts.append(counts)
+
+    def __getitem__(self, step: int) -> dict[int, int]:
+        if not 0 <= step < len(self._ids):
+            raise KeyError(step)
+        return dict(zip(self._ids[step], self._counts[step]))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._ids)))
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
 class DeliveryLog:
     """Every emission of a run, held as the wire lines the log file gets.
 
-    ``append`` encodes an emission's line once, into the UTF-8 body. The body
-    is kept as zlib chunks (level 1) and an open tail: the tail is sealed into
-    a chunk once it reaches ``CHUNK_BYTES``, always after a whole line, so no
-    line spans two chunks. Beside the body sit per-emission columns: the
-    step, the sender, the end of the line in the whole body and the
-    receivers (the range table's own tuple). No message object is kept:
-    ``entries`` decodes the lines when read."""
+    ``append`` encodes an emission's line once and keeps its side record
+    (step, sender, receivers). Once the open tail of lines reaches
+    ``CHUNK_BYTES``, after a whole line, it is sealed with its records into
+    a chunk of two zlib (level 1) strings: the lines and the pickled
+    records. No message object is kept: ``entries`` decodes when read."""
 
     CHUNK_BYTES = 1 << 16
 
     def __init__(self) -> None:
-        self.chunks: list[bytes] = []
-        # the end of each chunk in the whole body; the tail starts at the last
-        self.chunk_ends = array("q")
+        self.chunks: list[tuple[bytes, bytes]] = []
+        # the first emission of each chunk and of the tail
+        self.chunk_counts = array("q", [0])
         self.tail = bytearray()
-        self.steps = array("q")
-        self.senders = array("q")
-        self.ends = array("q")
-        self.receivers: list[tuple[int, ...]] = []
-        # step -> agent id -> number of agents within comm range
-        self.neighbor_counts: dict[int, dict[int, int]] = {}
+        self.records: list[tuple[int, int, tuple[int, ...]]] = []
+        self.neighbor_counts = NeighborCounts()
         self._encode = LineEncoder()
 
     def append(
@@ -105,23 +130,29 @@ class DeliveryLog:
     ) -> None:
         tail = self.tail
         tail += self._encode(time, message, sender, target).encode("utf-8")
-        self.steps.append(step)
-        self.senders.append(sender)
-        self.ends.append(self.tail_start + len(tail))
-        self.receivers.append(receivers)
+        self.records.append((step, sender, receivers))
         if len(tail) >= self.CHUNK_BYTES:
-            self.chunks.append(zlib.compress(tail, 1))
-            self.chunk_ends.append(self.tail_start + len(tail))
-            self.tail = bytearray()
+            self.chunks.append((zlib.compress(tail, 1), zlib.compress(pickle.dumps(self.records), 1)))
+            self.chunk_counts.append(self.chunk_counts[-1] + len(self.records))
+            self.tail, self.records = bytearray(), []
 
-    @property
-    def tail_start(self) -> int:
-        return self.chunk_ends[-1] if self.chunk_ends else 0
+    def chunk(self, c: int) -> tuple[list[bytes], list[tuple]]:
+        """Chunk ``c``'s lines and side records; chunk ``len(chunks)`` is the tail."""
+        if c == len(self.chunks):
+            return self.tail.split(b"\n"), self.records
+        lines, records = self.chunks[c]
+        return zlib.decompress(lines).split(b"\n"), pickle.loads(zlib.decompress(records))
+
+    def side_records(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """Every emission's side record in order, one chunk at a time."""
+        for _, records in self.chunks:
+            yield from pickle.loads(zlib.decompress(records))
+        yield from self.records
 
     def _body_parts(self) -> Iterator[bytes]:
         """The whole body in order, one decompressed chunk at a time."""
-        for chunk in self.chunks:
-            yield zlib.decompress(chunk)
+        for lines, _ in self.chunks:
+            yield zlib.decompress(lines)
         yield bytes(self.tail)
 
     def body(self) -> bytes:
@@ -135,15 +166,9 @@ class DeliveryLog:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeliveryLog):
             return NotImplemented
-        # equal lines seal into equal chunks; the body also fixes the
-        # senders and the line ends
-        return (self.chunks, self.tail, self.steps, self.receivers, self.neighbor_counts) == (
-            other.chunks,
-            other.tail,
-            other.steps,
-            other.receivers,
-            other.neighbor_counts,
-        )
+        # records are compared decoded: pickle writes a shared tuple once
+        mine, theirs = ((log.body(), [*log.side_records()], log.neighbor_counts) for log in (self, other))
+        return mine == theirs
 
     def write(self, path) -> None:
         """Write the wire lines. A plain log is written chunk by chunk; a gzip
@@ -159,32 +184,36 @@ class DeliveryLog:
 
 
 class LogEntries(Sequence):
-    """A log's emissions as ``LogEntry``s, decoded from the wire lines on
-    each read; ``len`` decodes nothing. A line's chunk is found by bisection,
-    and the last chunk decompressed is kept for the next read."""
+    """A log's emissions as ``LogEntry``s, decoded when read; ``len`` decodes nothing.
+    Iteration decompresses each chunk once; an index read keeps its chunk for the next."""
 
     def __init__(self, log: DeliveryLog) -> None:
-        self._log = log
-        self._chunk = -1
-        self._text = b""
+        self._log, self._key, self._lines, self._records = log, None, [], []
 
     def __len__(self) -> int:
-        return len(self._log.steps)
+        return self._log.chunk_counts[-1] + len(self._log.records)
 
-    def __getitem__(self, index: int) -> LogEntry:
-        log = self._log
-        k = range(len(log.steps))[index]
-        start, end = log.ends[k - 1] if k else 0, log.ends[k]
-        c = bisect_right(log.chunk_ends, start)
-        if c == len(log.chunks):
-            text, offset = log.tail, log.tail_start
-        else:
-            if c != self._chunk:
-                self._chunk, self._text = c, zlib.decompress(log.chunks[c])
-            text, offset = self._text, log.chunk_ends[c - 1] if c else 0
-        record = text[start - offset : end - offset].decode("utf-8")
-        time, message, sender, target = decode_record(record)
-        return LogEntry(log.steps[k], time, message, sender, target, log.receivers[k])
+    def __iter__(self) -> Iterator[LogEntry]:
+        for c in range(len(self._log.chunks) + 1):
+            lines, records = self._log.chunk(c)
+            for line, (step, _, receivers) in zip(lines, records):
+                time, message, sender, target = decode_record(line.decode("utf-8"))
+                yield LogEntry(step, time, message, sender, target, receivers)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(len(self))[index]]
+        log, n = self._log, len(self)
+        k = range(n)[index]
+        c = bisect_right(log.chunk_counts, k) - 1
+        # a log that has grown since the last read is read again
+        if (c, n) != self._key:
+            self._key = c, n
+            self._lines, self._records = log.chunk(c)
+        k -= log.chunk_counts[c]
+        step, _, receivers = self._records[k]
+        time, message, sender, target = decode_record(self._lines[k].decode("utf-8"))
+        return LogEntry(step, time, message, sender, target, receivers)
 
 
 @dataclass(frozen=True)
@@ -276,9 +305,8 @@ class Network:
         receivers = np.asarray(ids, dtype=np.int64)[np.nonzero(within)[1]].tolist()
         counts = within.sum(axis=1)
         ends = np.cumsum(counts).tolist()
-        # a receiver tuple or count table equal to the previous step's keeps
-        # its object: the log's receivers column holds the tuples, and the
-        # counts stay all run
+        # a receiver tuple equal to the previous step's keeps its object: the
+        # log's open records hold the tuples, and pickle writes each once
         previous = self._receivers
         table = {}
         for aid, start, end in zip(ids, [0] + ends, ends):
@@ -286,9 +314,7 @@ class Network:
             before = previous.get(aid)
             table[aid] = before if before == now_in_range else now_in_range
         self._receivers = table
-        counts_now = dict(zip(ids, counts.tolist()))
-        before = self.log.neighbor_counts.get(self._step_no - 1)
-        self.log.neighbor_counts[self._step_no] = before if before == counts_now else counts_now
+        self.log.neighbor_counts.append(tuple(ids), counts.tolist())
 
     def _emit(self, now: float, sender: int, emissions, deliver_step: Optional[int] = None) -> None:
         cfg = self.config
@@ -347,28 +373,27 @@ def audit_message_bound(log: DeliveryLog, window: int) -> BoundReport:
     with n its peak in-communication-range neighbor count in the window."""
     if window <= 0:
         raise ValueError("window must be a positive number of cycles")
-    if not log.steps:
-        return BoundReport(windows_checked=0, violations=())
     emitted: dict[int, dict[int, int]] = {}
-    for sender, step in zip(log.senders, log.steps):
+    for step, sender, _ in log.side_records():
         per_step = emitted.setdefault(sender, {})
         per_step[step] = per_step.get(step, 0) + 1
-    last_step = max(log.steps)
+    last_step = max((max(per_step) for per_step in emitted.values()), default=-1)
     violations: list[BoundViolation] = []
     checked = 0
-    for agent in sorted(emitted):
-        for start in range(0, last_step + 1, window):
-            steps = range(start, min(start + window, last_step + 1))
-            count = sum(emitted[agent].get(s, 0) for s in steps)
+    for start in range(0, last_step + 1, window):
+        steps = range(start, min(start + window, last_step + 1))
+        # each step's counts are decoded once, for every agent
+        counts = [log.neighbor_counts.get(s, {}) for s in steps]
+        for agent, per_step in emitted.items():
+            count = sum(per_step.get(s, 0) for s in steps)
             if count == 0:
                 continue
             checked += 1
-            peak = max(
-                (log.neighbor_counts.get(s, {}).get(agent, 0) for s in steps), default=0
-            )
+            peak = max((c.get(agent, 0) for c in counts), default=0)
             bound = (2 * peak + 1) * len(steps)
             if count > bound:
                 violations.append(BoundViolation(agent, start, count, bound, peak))
+    violations.sort(key=lambda v: (v.agent, v.window_start))
     return BoundReport(windows_checked=checked, violations=tuple(violations))
 
 

@@ -410,6 +410,14 @@ class TestColumnarIngest:
         assert err.value.line == 3
         assert str(err.value) == f"{path}: line 3: agent id {2**63} exceeds 64 bits"
 
+    def test_negative_agent_id_rejected_with_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{harness.TRACE_HEADER}\n0.0,1,0,0,0\n0.0,-1,0,0,0\n")
+        with pytest.raises(SchemaError) as err:
+            ingest_trace(path)
+        assert err.value.line == 3
+        assert str(err.value) == f"{path}: line 3: agent id -1 is negative"
+
 
 class TestNearest:
     @given(
@@ -834,6 +842,51 @@ class TestCli:
     def test_missing_config_exit_one(self, tmp_path):
         code = cli.main(["simulate", "--config", str(tmp_path / "nope.json")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--config", "{dir}"],
+            ["replay", "--config", "{triads}", "--trace", "{dir}"],
+            ["replay", "--config", "{triads}", "--ground-truth", "{dir}"],
+            ["metrics", "--truth", "{dir}", "--predicted", "{truth}"],
+            ["metrics", "--truth", "{truth}", "--predicted", "{dir}"],
+        ],
+    )
+    def test_directory_input_exit_one(self, tmp_path, capsys, args):
+        root = Path(__file__).parent.parent / "scenarios"
+        paths = {
+            "dir": tmp_path,
+            "triads": root / "triads.json",
+            "truth": root / "fixtures" / "triads_truth.csv",
+        }
+        out = ["--out-dir", str(tmp_path / "out")] if args[0] != "metrics" else []
+        assert cli.main([a.format(**paths) for a in args] + out) == 1
+        assert capsys.readouterr().err == f"config error: {tmp_path}: is a directory, not a file\n"
+
+    def test_output_failure_stays_exit_two(self, tmp_path, capsys):
+        # only reading an input is a config error: an out-dir that is a file
+        # fails while the outputs are written
+        config = self.write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main(["simulate", "--config", str(config), "--out-dir", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("runtime error: ")
+
+    def test_negated_triads_trace_exit_one(self, tmp_path, capsys):
+        # every id a written as -a-1: rejected at its first row, not mid-run
+        root = Path(__file__).parent.parent / "scenarios"
+        header, *rows = (root / "fixtures" / "triads_trace.csv").read_text().splitlines()
+        trace = tmp_path / "negated.csv"
+        fields = [row.split(",") for row in rows]
+        negated = [",".join([t, str(-int(a) - 1), *rest]) for t, a, *rest in fields]
+        assert len(negated) == len(rows) > 1
+        trace.write_text("\n".join([header, *negated]) + "\n")
+        args = ["replay", "--config", str(root / "triads.json"), "--trace", str(trace)]
+        assert cli.main(args + ["--out-dir", str(tmp_path / "out")]) == 1
+        first = negated[0].split(",")[1]
+        message = f"config error: {trace}: line 2: agent id {first} is negative\n"
+        assert capsys.readouterr().err == message
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

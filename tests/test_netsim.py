@@ -3,17 +3,27 @@
 import gc
 import gzip
 import hashlib
+import pickle
 import tracemalloc
 import zlib
 from types import FunctionType, ModuleType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socsim import messages as messages_module
 from socsim import netsim
 from socsim.harness import run
-from socsim.messages import HeadMsg, MemberMsg, RequestMsg, encode_payload, message_type
+from socsim.messages import (
+    HeadMsg,
+    MemberMsg,
+    RequestMsg,
+    ResponseMsg,
+    encode_payload,
+    message_type,
+)
 from socsim.netsim import (
     BoundReport,
     BoundViolation,
@@ -26,7 +36,7 @@ from socsim.netsim import (
 from socsim.opinions import Opinion, format_opinion
 from socsim.protocol import Agent, AgentKind, ProtocolConfig, Role
 
-from conftest import counted
+from conftest import counted, opinions
 from test_golden import CASES
 
 STRONG = Opinion(0.9, 0.05, 0.05, 0.2)
@@ -284,9 +294,9 @@ class TestSharing:
     def test_unchanged_range_keeps_receivers_and_counts(self):
         _, net = run_triad(steps=3)
         broadcasts = [e for e in net.log.entries if e.sender == 1 and e.target is None]
-        assert len({id(e.delivered_to) for e in broadcasts}) == 1
+        assert len({e.delivered_to for e in broadcasts}) == 1
         counts = list(net.log.neighbor_counts.values())
-        assert all(c is counts[0] for c in counts)
+        assert all(c == counts[0] for c in counts)
 
 
 class TestWrite:
@@ -383,20 +393,22 @@ class TestChunks:
     def test_chunks_hold_whole_lines(self):
         log, appended = self.filled_log()
         longest = max(len(e.wire_line()) + 1 for e in appended)
-        start = 0
-        for chunk, end in zip(log.chunks, log.chunk_ends):
-            text = zlib.decompress(chunk)
-            assert len(text) == end - start
+        counts = log.chunk_counts
+        assert len(counts) == len(log.chunks) + 1 and counts[0] == 0
+        for (lines, records), first, end in zip(log.chunks, counts, counts[1:]):
+            text = zlib.decompress(lines)
+            assert text == "".join(e.wire_line() + "\n" for e in appended[first:end]).encode()
             assert log.CHUNK_BYTES <= len(text) < log.CHUNK_BYTES + longest
-            assert text.endswith(b"\n") and end in log.ends
-            start = end
-        assert log.tail_start == start and 0 < len(log.tail) < log.CHUNK_BYTES
-        assert log.ends[-1] == start + len(log.tail)
+            sealed = [(e.step, e.sender, e.delivered_to) for e in appended[first:end]]
+            assert pickle.loads(zlib.decompress(records)) == sealed
+        assert 0 < len(log.tail) < log.CHUNK_BYTES
+        assert counts[-1] + len(log.records) == len(appended)
+        assert log.records == [(e.step, e.sender, e.delivered_to) for e in appended[counts[-1] :]]
 
     def test_lines_either_side_of_a_seal_decode(self):
         log, appended = self.filled_log()
         entries, n = log.entries, len(appended)
-        lasts = [list(log.ends).index(end) for end in log.chunk_ends]
+        lasts = [count - 1 for count in log.chunk_counts[1:]]
         for k in sorted({0, n - 1} | {i + d for i in lasts for d in (-1, 0, 1, 2)}):
             expected = appended[k].wire_line()
             assert entries[k].wire_line() == expected
@@ -467,9 +479,8 @@ class TestLogOracle:
         for decoded, sent in zip(log.entries, captured):
             for field in LogEntry._fields:
                 assert getattr(decoded, field) == getattr(sent, field), (field, sent)
-            assert decoded.delivered_to is sent.delivered_to
         assert log.body() == "".join(e.wire_line() + "\n" for e in captured).encode("utf-8")
-        # the length and the audit read the columns alone
+        # the length and the audit read the side records alone
         monkeypatch.setattr(netsim, "decode_record", None)
         assert len(log.entries) == len(captured)
         for window in (1, 5, 30):
@@ -479,11 +490,15 @@ class TestLogOracle:
 
     def test_log_keeps_no_member_message(self, monkeypatch):
         # what receivers evict is freed: nothing of a member message stays
-        # reachable from the log, neither the message nor its opinion dict
+        # reachable from the log, neither the message nor its opinion dict;
+        # a receiver tuple is held only by the open chunk's side records
         captured = capture_appends(monkeypatch)
+        # small chunks, so that the run seals several
+        monkeypatch.setattr(DeliveryLog, "CHUNK_BYTES", 4096)
         log = run(CASES["quick"]()).network.log
         indices = {id(e.message.opinions) for e in captured if isinstance(e.message, MemberMsg)}
-        assert indices
+        receivers = {id(e.delivered_to) for e in captured if e.delivered_to}
+        assert indices and log.chunks and log.records
         seen, stack = set(), [log]
         while stack:
             obj = stack.pop()
@@ -493,7 +508,108 @@ class TestLogOracle:
             assert not isinstance(obj, MemberMsg)
             assert id(obj) not in indices
             stack.extend(gc.get_referents(obj))
-        assert all(id(receivers) in seen for receivers in log.receivers)
+        held = {id(r) for _, _, r in log.records if r}
+        assert held and seen & receivers == held
+
+
+big_ids = st.integers(min_value=0, max_value=2**63 - 1)
+optional_ids = st.none() | big_ids
+id_sets = st.frozensets(big_ids, max_size=4)
+pair_indexes = st.dictionaries(
+    st.tuples(big_ids, big_ids).filter(lambda p: p[0] < p[1]), opinions(), max_size=3
+)
+
+
+@st.composite
+def emissions(draw, steps: int, senders) -> LogEntry:
+    """One emission as ``Network._emit`` hands it to the log: any message
+    kind, a sender that the wire line can carry back, and empty, single or
+    many receivers."""
+    sender = draw(senders)
+    message = draw(
+        st.one_of(
+            st.builds(HeadMsg, big_ids, id_sets, id_sets),
+            st.builds(RequestMsg, big_ids, id_sets),
+            st.builds(ResponseMsg, st.just(sender), st.booleans(), optional_ids, st.none() | id_sets),
+            st.builds(MemberMsg, st.just(sender), big_ids, pair_indexes),
+        )
+    )
+    many = st.lists(big_ids, min_size=2, max_size=40).map(tuple)
+    receivers = draw(st.just(()) | st.tuples(big_ids) | many)
+    return LogEntry(
+        draw(st.integers(0, steps)),
+        draw(st.floats(min_value=0, max_value=1e6, allow_nan=False)),
+        message,
+        sender,
+        draw(optional_ids),
+        receivers,
+    )
+
+
+@st.composite
+def step_counts(draw, pool: list[int]) -> tuple[tuple[int, ...], list[int]]:
+    """One step's ascending agent ids and their counts: small counts for some
+    agents of ``pool``, the senders that may exceed their bound, and a run of
+    other ids whose counts no longer fit a byte when there are over 256."""
+    counts = {a: draw(st.integers(0, 2)) for a in pool if draw(st.booleans())}
+    n = draw(st.integers(0, 300))
+    first = draw(st.integers(0, 2**63 - 1 - n))
+    scale = draw(st.integers(1, 7))
+    counts.update((first + k, k * scale % n) for k in range(n))
+    ids = tuple(sorted(counts))
+    return ids, [counts[a] for a in ids]
+
+
+class TestLogReference:
+    """The log against the emissions it was handed, kept as ``LogEntry``s,
+    and plain dicts of neighbour counts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), chunk_bytes=st.integers(1, 600))
+    def test_matches_captured_emissions(self, data, chunk_bytes, tmp_path_factory):
+        log = DeliveryLog()
+        # small chunks put lines on either side of several seals
+        log.CHUNK_BYTES = chunk_bytes
+        pool = data.draw(st.lists(big_ids, min_size=1, max_size=5, unique=True))
+        steps = data.draw(st.lists(step_counts(pool) | st.just(None), max_size=12))
+        reference, ids, counts = {}, (), []
+        for step, drawn in enumerate(steps):
+            # None repeats the previous step's counts
+            ids, counts = drawn or (ids, counts)
+            log.neighbor_counts.append(ids, counts)
+            reference[step] = dict(zip(ids, counts))
+        captured, view = [], log.entries
+        senders = st.sampled_from(pool) | big_ids
+        for entry in data.draw(st.lists(emissions(len(steps), senders), max_size=60)):
+            log.append(*entry)
+            captured.append(entry)
+            if data.draw(st.booleans()):
+                # a view read while the log grows sees every append
+                assert view[-1] == entry and len(view) == len(captured)
+        entries, n = log.entries, len(captured)
+        assert len(entries) == n and list(entries) == captured
+        assert [entries[k] for k in reversed(range(n))] == captured[::-1]
+        for k in data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=5)) if n else ():
+            assert entries[k] == captured[k] and entries[k - n] == captured[k]
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        stride = st.sampled_from([None, 1, 2, -1, -3])
+        cut = slice(*data.draw(st.tuples(bound, bound, stride)))
+        assert entries[cut] == captured[cut]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                entries[k]
+        assert log.neighbor_counts == reference and dict(log.neighbor_counts) == reference
+        assert log.neighbor_counts.get(-1) is None and len(steps) not in log.neighbor_counts
+        for window in (1, 2, 5):
+            expected = reference_audit(captured, reference, window)
+            assert audit_message_bound(log, window) == expected
+        body = "".join(e.wire_line() + "\n" for e in captured).encode("utf-8")
+        assert log.body() == body
+        out = tmp_path_factory.mktemp("log")
+        log.write(out / "messages.log")
+        log.write(out / "messages.log.gz")
+        assert (out / "messages.log").read_bytes() == body
+        assert gzip.decompress((out / "messages.log.gz").read_bytes()) == body
 
 
 class TestRangeWarning:
