@@ -71,7 +71,7 @@ class LogEntry(NamedTuple):
 
 class NeighborCounts(Mapping):
     """Read-only ``step -> {agent id: number of agents within comm range}``.
-    Per step it holds the ascending ids and a byte array of counts, each the
+    Per step it holds the ascending ids and an array of counts, each the
     previous step's own object when equal to it."""
 
     def __init__(self) -> None:
@@ -80,7 +80,7 @@ class NeighborCounts(Mapping):
 
     def append(self, ids: tuple[int, ...], counts: list[int]) -> None:
         """Record the next step's counts, ``counts[i]`` that of ``ids[i]``."""
-        counts = array("B" if len(ids) <= 256 else "L", counts)
+        counts = array("I", counts)
         if self._ids:
             ids = self._ids[-1] if self._ids[-1] == ids else ids
             counts = self._counts[-1] if self._counts[-1] == counts else counts
@@ -185,32 +185,26 @@ class DeliveryLog:
 
 class LogEntries(Sequence):
     """A log's emissions as ``LogEntry``s, decoded when read; ``len`` decodes nothing.
-    Iteration decompresses each chunk once; an index read keeps its chunk for the next."""
+    A read keeps its chunk for the next, so reading in order decompresses each once."""
 
     def __init__(self, log: DeliveryLog) -> None:
-        self._log, self._key, self._lines, self._records = log, None, [], []
+        self._log, self._n, self._first, self._lines, self._records = log, -1, 0, [], []
 
     def __len__(self) -> int:
         return self._log.chunk_counts[-1] + len(self._log.records)
-
-    def __iter__(self) -> Iterator[LogEntry]:
-        for c in range(len(self._log.chunks) + 1):
-            lines, records = self._log.chunk(c)
-            for line, (step, _, receivers) in zip(lines, records):
-                time, message, sender, target = decode_record(line.decode("utf-8"))
-                yield LogEntry(step, time, message, sender, target, receivers)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[k] for k in range(len(self))[index]]
         log, n = self._log, len(self)
-        k = range(n)[index]
-        c = bisect_right(log.chunk_counts, k) - 1
-        # a log that has grown since the last read is read again
-        if (c, n) != self._key:
-            self._key = c, n
+        k = range(n)[index] - self._first
+        # a read outside the kept chunk, or of a log that has grown, finds its chunk
+        if n != self._n or not 0 <= k < len(self._records):
+            k += self._first
+            c = bisect_right(log.chunk_counts, k) - 1
+            self._n, self._first = n, log.chunk_counts[c]
             self._lines, self._records = log.chunk(c)
-        k -= log.chunk_counts[c]
+            k -= self._first
         step, _, receivers = self._records[k]
         time, message, sender, target = decode_record(self._lines[k].decode("utf-8"))
         return LogEntry(step, time, message, sender, target, receivers)
