@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_scenario(args) -> Scenario:
     scenario = harness.load_scenario(args.config)
     if args.seed is not None:
-        scenario.seed = args.seed
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     return scenario
 
 

@@ -30,20 +30,12 @@ from .netsim import NetConfig, Network, warn_if_range_below_social
 from .opinions import BASE_RATE_TOL
 from .percept import PerceptConfig
 from .protocol import PERIOD_TOL, Agent, AgentKind, ProtocolConfig, Role, StrongPairs
+from .schema import AGENT_ID, FINITE, NON_NEGATIVE, POSITIVE, AgentId, SchemaError, build, check
+from .schema import ranged
 
 log = logging.getLogger(__name__)
 
 SWEEPABLE = ("moving_group_ratio", "n_agents", "loss", "noise")
-
-
-class SchemaError(ValueError):
-    """A trace or config file does not match its documented schema."""
-
-    def __init__(self, message: str, line: Optional[int] = None, path: Optional[Path] = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message if path is None else f"{path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +48,9 @@ class ReplaySource:
     trace: Path
     ground_truth: Optional[Path] = None
 
+    def __post_init__(self) -> None:
+        check(self)
+
 
 @dataclass
 class Scenario:
@@ -63,21 +58,19 @@ class Scenario:
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     net: NetConfig = field(default_factory=NetConfig)
     percept: PerceptConfig = field(default_factory=PerceptConfig)
-    duration: float = 60.0
-    dt: float = 0.5
-    sample_interval: Optional[float] = None
-    seed: int = 0
-    opinion_providers: tuple[tuple[int, float, float], ...] = ()
-    agentless_ids: frozenset[int] = frozenset()
-    removals: tuple[tuple[float, int], ...] = ()
+    duration: float = ranged(POSITIVE, 60.0)
+    dt: float = ranged(POSITIVE, 0.5)
+    sample_interval: Optional[float] = ranged(POSITIVE, None)
+    seed: int = ranged(NON_NEGATIVE, 0)
+    opinion_providers: tuple[tuple[AgentId, float, float], ...] = ranged(FINITE, ())
+    agentless_ids: frozenset[AgentId] = frozenset()
+    removals: tuple[tuple[float, AgentId], ...] = ranged(FINITE, ())
     gzip_log: bool = False
 
     def __post_init__(self) -> None:
+        check(self)
         if self.sample_interval is None:
             self.sample_interval = self.protocol.period
-        for name in ("duration", "dt", "sample_interval"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
         ratio = self.protocol.period / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("dt must divide the protocol period")
@@ -88,8 +81,6 @@ class Scenario:
             raise ValueError("observation_radius cannot exceed the communication range")
         if abs(self.percept.base_rate - self.protocol.base_rate) > BASE_RATE_TOL:
             raise ValueError("percept and protocol base rates differ")
-        if not all(math.isfinite(t) for t, _ in self.removals):
-            raise ValueError("removal times must be finite")
         if len({p[0] for p in self.opinion_providers}) != len(self.opinion_providers):
             raise ValueError("opinion provider ids must be unique")
 
@@ -121,6 +112,8 @@ class RunResult:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
+    """The scenario a parsed JSON config describes; each section is built
+    under its dotted key, so an error names the full key."""
     try:
         if not isinstance(raw, dict):
             raise ValueError("a scenario config must be a JSON object")
@@ -129,46 +122,29 @@ def scenario_from_dict(raw: dict) -> Scenario:
             raise ValueError(f"unknown scenario keys {sorted(unknown)}")
         src_raw = raw.get("source")
         if not isinstance(src_raw, dict) or "type" not in src_raw:
-            raise ValueError("config needs a source object with a type field")
+            raise ValueError(f"source must be an object with a type field, got {src_raw!r}")
+        given = {k: v for k, v in src_raw.items() if k != "type"}
         if src_raw["type"] == "synthetic":
-            mob_raw = dict(src_raw.get("mobility", {}))
-            if "group_size_distribution" in mob_raw:
-                mob_raw["group_size_distribution"] = {
-                    int(k): float(v) for k, v in mob_raw["group_size_distribution"].items()
-                }
-            for tuple_key in ("area", "speed_levels", "resting_duration_range"):
-                if tuple_key in mob_raw:
-                    mob_raw[tuple_key] = tuple(mob_raw[tuple_key])
-            if "speed_transitions" in mob_raw:
-                mob_raw["speed_transitions"] = tuple(
-                    tuple(row) for row in mob_raw["speed_transitions"]
-                )
-            source: SyntheticSource | ReplaySource = SyntheticSource(MobilityConfig(**mob_raw))
+            given["mobility"] = build(MobilityConfig, given.get("mobility", {}), "source.mobility")
+            source: SyntheticSource | ReplaySource = build(SyntheticSource, given, "source")
         elif src_raw["type"] == "replay":
-            trace = Path(src_raw["trace"])
-            truth = src_raw.get("ground_truth")
-            source = ReplaySource(trace, Path(truth) if truth else None)
+            source = build(ReplaySource, given, "source")
         else:
             raise ValueError(f"unknown source type {src_raw['type']!r}")
-        protocol = ProtocolConfig(**raw.get("protocol", {}))
+        protocol = build(ProtocolConfig, raw.get("protocol", {}), "protocol")
         percept_raw = raw.get("percept", {})
-        if "base_rate" in percept_raw:
-            raise ValueError("percept.base_rate is not a setting; set protocol.base_rate")
+        if isinstance(percept_raw, dict):
+            if "base_rate" in percept_raw:
+                raise ValueError("percept.base_rate is not a setting; set protocol.base_rate")
+            percept_raw = {**percept_raw, "base_rate": protocol.base_rate}
         scenario = Scenario(
-            source=source,
-            protocol=protocol,
-            net=NetConfig(**raw.get("net", {})),
-            percept=PerceptConfig(**percept_raw, base_rate=protocol.base_rate),
-            duration=float(raw.get("duration", 60.0)),
-            dt=float(raw.get("dt", 0.5)),
-            sample_interval=raw.get("sample_interval"),
-            seed=int(raw.get("seed", 0)),
-            opinion_providers=tuple(
-                (int(p[0]), float(p[1]), float(p[2])) for p in raw.get("opinion_providers", [])
-            ),
-            agentless_ids=frozenset(int(a) for a in raw.get("agentless_ids", [])),
-            removals=tuple((float(t), int(a)) for t, a in raw.get("removals", [])),
-            gzip_log=bool(raw.get("gzip_log", False)),
+            **{
+                **raw,
+                "source": source,
+                "protocol": protocol,
+                "net": build(NetConfig, raw.get("net", {}), "net"),
+                "percept": build(PerceptConfig, percept_raw, "percept"),
+            }
         )
     except (TypeError, ValueError, KeyError) as exc:
         raise SchemaError(f"invalid scenario config: {exc}") from exc
@@ -184,13 +160,9 @@ def load_scenario(path: Path) -> Scenario:
         raise SchemaError("is a directory, not a file", path=path) from None
     scenario = scenario_from_dict(raw)
     if isinstance(scenario.source, ReplaySource):
-        base = Path(path).parent
-        trace = scenario.source.trace
-        truth = scenario.source.ground_truth
-        scenario.source = ReplaySource(
-            trace if trace.is_absolute() else base / trace,
-            None if truth is None else (truth if truth.is_absolute() else base / truth),
-        )
+        # relative paths are read from the config's folder; an absolute one stays
+        base, truth = Path(path).parent, scenario.source.ground_truth
+        scenario.source = ReplaySource(base / scenario.source.trace, truth and base / truth)
         if not scenario.source.trace.exists():
             raise SchemaError(f"trace file not found: {scenario.source.trace}")
         if scenario.source.ground_truth is not None and not scenario.source.ground_truth.exists():
@@ -315,8 +287,9 @@ def _split_by_time(
 def read_situations(path: Path) -> dict[float, list[frozenset[int]]]:
     """Read a ``time,situation_id,member_ids`` file (ground truth or
     protocol partitions) into the member sets listed at each time, one
-    object per distinct set. An empty member list or member id, an agent
-    listed twice at one time, and a file with no situation rows, are errors."""
+    object per distinct set. An empty member list or member id, a member id
+    that is not an agent id, an agent listed twice at one time, and a file
+    with no situation rows, are errors."""
     situations: dict[float, list[frozenset[int]]] = {}
     listed: dict[float, set[int]] = {}
     distinct: dict[frozenset[int], frozenset[int]] = {}
@@ -334,6 +307,9 @@ def read_situations(path: Path) -> dict[float, list[frozenset[int]]]:
                 if "" in texts:
                     raise ValueError(f"empty member id in {parts[2]!r}")
                 fresh = frozenset(map(int, texts))
+                test, text = AGENT_ID
+                if not all(map(test, fresh)):
+                    raise ValueError(f"member ids {parts[2]!r} must each {text}")
                 members = parsed[parts[2]] = distinct.setdefault(fresh, fresh)
         except ValueError as exc:
             raise SchemaError(str(exc), line=lineno, path=path) from exc
@@ -408,7 +384,12 @@ def _align_truth(
     blocks: one singleton per agent, and the previous frame's tuple when
     nothing changed. A frame that ``scored`` indexes must lie within half the
     larger of ``step``, the trace step, and the truth file's median step of
-    its truth time; indices past the last frame are left to the caller."""
+    its truth time; indices past the last frame are left to the caller. A
+    truth that lists an agent of no frame is an error."""
+    listed = set().union(*(block for blocks in situations.values() for block in blocks))
+    unknown = listed.difference(*(frame.ids for frame in frames))
+    if unknown:
+        raise SchemaError(f"agent {min(unknown)} is in no frame of the trace", path=path)
     times = sorted(situations)
     frame_times = [f.time for f in frames]
     nearest = _nearest(times, frame_times)
@@ -843,19 +824,12 @@ def _apply_parameter(base: Scenario, parameter: str, value) -> Scenario:
     if parameter in ("moving_group_ratio", "n_agents"):
         if not isinstance(base.source, SyntheticSource):
             raise ValueError(f"sweeping {parameter} requires a synthetic source")
-        mob = dataclasses.replace(
-            base.source.mobility,
-            **{
-                "moving_group_ratio" if parameter == "moving_group_ratio" else "n_agents": (
-                    float(value) if parameter == "moving_group_ratio" else int(value)
-                )
-            },
-        )
+        mob = dataclasses.replace(base.source.mobility, **{parameter: value})
         scenario.source = SyntheticSource(mob)
     elif parameter == "loss":
-        scenario.net = dataclasses.replace(base.net, loss_probability=float(value))
+        scenario.net = dataclasses.replace(base.net, loss_probability=value)
     elif parameter == "noise":
-        scenario.percept = dataclasses.replace(base.percept, noise_sigma_pos=float(value))
+        scenario.percept = dataclasses.replace(base.percept, noise_sigma_pos=value)
     return scenario
 
 

@@ -14,73 +14,52 @@ produce chance encounters that look like social situations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from .schema import NON_NEGATIVE, POSITIVE, UNIT, check, ranged
 
 _HEADING_SIGMA = 0.6  # rad, Gauss-Markov heading noise
 _ARRIVAL_SLACK = 0.5  # m, extra radius counting a member as arrived
+_GROUP_SIZES = (lambda size: size >= 2, "be at least 2")
 
 
 @dataclass
 class MobilityConfig:
-    area: tuple[float, float] = (50.0, 50.0)
-    n_agents: int = 10
-    speed_levels: tuple[float, ...] = (0.0, 0.7, 1.4)
-    speed_transitions: tuple[tuple[float, ...], ...] = (
-        (0.90, 0.08, 0.02),
-        (0.10, 0.80, 0.10),
-        (0.05, 0.15, 0.80),
+    area: tuple[float, float] = ranged(POSITIVE, (50.0, 50.0))
+    n_agents: int = ranged(NON_NEGATIVE, 10)
+    speed_levels: tuple[float, ...] = ranged(NON_NEGATIVE, (0.0, 0.7, 1.4))
+    speed_transitions: tuple[tuple[float, ...], ...] = ranged(
+        UNIT, ((0.90, 0.08, 0.02), (0.10, 0.80, 0.10), (0.05, 0.15, 0.80))
     )
-    gauss_markov_alpha: float = 0.75
-    group_formation_rate: float = 0.02  # events per second
-    group_size_distribution: dict[int, float] = field(
-        default_factory=lambda: {2: 0.4, 3: 0.35, 4: 0.20, 5: 0.05}
+    gauss_markov_alpha: float = ranged(UNIT, 0.75)
+    group_formation_rate: float = ranged(NON_NEGATIVE, 0.02)  # events per second
+    group_size_distribution: dict[int, float] = ranged(
+        UNIT, keys=_GROUP_SIZES, default_factory=lambda: {2: 0.4, 3: 0.35, 4: 0.20, 5: 0.05}
     )
-    resting_duration_range: tuple[float, float] = (30.0, 180.0)
-    moving_group_ratio: float = 0.3
-    force_k_center: float = 1.0
-    force_k_repel: float = 0.5
-    interaction_distance: float = 1.2
-    angle_jitter_sigma: float = 0.3
+    resting_duration_range: tuple[float, float] = ranged(NON_NEGATIVE, (30.0, 180.0))
+    moving_group_ratio: float = ranged(UNIT, 0.3)
+    force_k_center: float = ranged(POSITIVE, 1.0)
+    force_k_repel: float = ranged(POSITIVE, 0.5)
+    interaction_distance: float = ranged(NON_NEGATIVE, 1.2)
+    angle_jitter_sigma: float = ranged(NON_NEGATIVE, 0.3)
     label_waiting_phase: bool = False
-    seed: int = 0
+    seed: int = ranged(NON_NEGATIVE, 0)
 
     def __post_init__(self) -> None:
-        if self.n_agents < 0:
-            raise ValueError("n_agents must be non-negative")
-        if not all(0.0 < side < math.inf for side in self.area):
-            raise ValueError("area must be positive and finite")
-        if not 0.0 <= self.group_formation_rate < math.inf:
-            raise ValueError("group_formation_rate must be non-negative and finite")
-        if not 0.0 <= self.gauss_markov_alpha <= 1.0:
-            raise ValueError("gauss_markov_alpha must lie in [0, 1]")
-        if not 0.0 <= self.moving_group_ratio <= 1.0:
-            raise ValueError("moving_group_ratio must lie in [0, 1]")
-        if not (self.force_k_center > 0 and self.force_k_repel > 0):
-            raise ValueError("force gains must be positive")
-        for name in ("interaction_distance", "angle_jitter_sigma"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
-        if not all(0.0 <= v < math.inf for v in self.speed_levels):
-            raise ValueError("speed_levels must be non-negative and finite")
+        check(self)
         if len(self.speed_levels) != len(self.speed_transitions):
             raise ValueError("speed chain size mismatch")
         for row in self.speed_transitions:
-            if not all(0.0 <= p <= 1.0 for p in row):
-                raise ValueError("speed_transitions entries must lie in [0, 1]")
             if len(row) != len(self.speed_levels) or not abs(sum(row) - 1.0) <= 1e-9:
                 raise ValueError("speed transition rows must sum to 1")
-        rest = self.resting_duration_range
-        if len(rest) != 2 or not 0.0 <= rest[0] <= rest[1] < math.inf:
-            raise ValueError("resting_duration_range must be finite with 0 <= low <= high")
+        if self.resting_duration_range[0] > self.resting_duration_range[1]:
+            raise ValueError("resting_duration_range must have low <= high")
         total = sum(self.group_size_distribution.values())
         if self.group_size_distribution and not abs(total - 1.0) <= 1e-9:
             raise ValueError("group size probabilities must sum to 1")
-        if any(s < 2 for s in self.group_size_distribution):
-            raise ValueError("groups need at least 2 members")
 
 
 @dataclass(frozen=True)

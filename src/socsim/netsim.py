@@ -29,6 +29,7 @@ import numpy as np
 
 from .messages import HeadMsg, LineEncoder, Message, decode_record, encode_record
 from .protocol import Agent, concerned_receivers
+from .schema import HALF_OPEN_UNIT, NON_NEGATIVE, POSITIVE, check, ranged
 
 # A scheduler picks the index of the next ready delivery, one per receiver of
 # a queued emission; the default is FIFO in sequence order. Adversarial
@@ -38,17 +39,12 @@ Scheduler = Callable[[float, Sequence["QueuedDelivery"]], int]
 
 @dataclass
 class NetConfig:
-    comm_range: float = 25.0
-    loss_probability: float = 0.0
-    latency: int = 0
+    comm_range: float = ranged(POSITIVE, 25.0)
+    loss_probability: float = ranged(HALF_OPEN_UNIT, 0.0)
+    latency: int = ranged(NON_NEGATIVE, 0)  # steps
 
     def __post_init__(self) -> None:
-        if not self.comm_range > 0:
-            raise ValueError("comm_range must be positive")
-        if not 0.0 <= self.loss_probability < 1.0:
-            raise ValueError("loss_probability must lie in [0, 1)")
-        if not 0 <= self.latency < float("inf") or int(self.latency) != self.latency:
-            raise ValueError("latency must be a non-negative integer number of steps")
+        check(self)
 
 
 class QueuedDelivery(NamedTuple):
@@ -172,8 +168,8 @@ class DeliveryLog:
 
     def write(self, path) -> None:
         """Write the wire lines. A plain log is written chunk by chunk; a gzip
-        log compresses the whole body in one call, because zlib's output
-        depends on how its input is chunked and the bytes must stay the same."""
+        log compresses the whole body in one call. zlib's output does not depend
+        on how its input is split into calls, only a flush changes it."""
         with open(path, "wb") as raw:
             if str(path).endswith(".gz"):
                 # fixed mtime and empty name keep the output reproducible

@@ -16,7 +16,7 @@ from collections.abc import KeysView, Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from . import _kernels
 from .messages import PairIndex
 from .mobility import TraceFrame
 from .opinions import FUSION_BOUND_TOL, Opinion
+from .schema import FINITE, NON_NEGATIVE, POSITIVE, UNIT, UNIT_ABOVE_ZERO, check, ranged
 
 
 class DegenerateDataError(ValueError):
@@ -52,34 +53,21 @@ class GmmModel:
 
 @dataclass
 class PerceptConfig:
-    model: str = "parametric"  # "parametric" | "gmm"
-    distance_midpoint: float = 1.5
-    distance_steepness: float = 4.0
-    facing_weight: float = 1.0
-    base_uncertainty: float = 0.1
-    noise_sigma_pos: float = 0.0
-    noise_sigma_angle: float = 0.0
-    observation_radius: float = 10.0
-    base_rate: float = 0.2
+    model: Literal["parametric", "gmm"] = "parametric"
+    distance_midpoint: float = ranged(FINITE, 1.5)
+    distance_steepness: float = ranged(FINITE, 4.0)
+    facing_weight: float = ranged(NON_NEGATIVE, 1.0)
+    base_uncertainty: float = ranged(UNIT_ABOVE_ZERO, 0.1)
+    noise_sigma_pos: float = ranged(NON_NEGATIVE, 0.0)
+    noise_sigma_angle: float = ranged(NON_NEGATIVE, 0.0)
+    observation_radius: float = ranged(POSITIVE, 10.0)
+    base_rate: float = ranged(UNIT, 0.2)
     gmm: Optional[GmmModel] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.base_uncertainty <= 1.0:
-            raise ValueError("base_uncertainty must lie in (0, 1]")
-        if not self.observation_radius > 0:
-            raise ValueError("observation_radius must be positive")
-        for name in ("distance_midpoint", "distance_steepness"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("facing_weight", "noise_sigma_pos", "noise_sigma_angle"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
-        if self.model not in ("parametric", "gmm"):
-            raise ValueError(f"unknown percept model {self.model!r}")
+        check(self)
         if self.model == "gmm" and self.gmm is None:
             raise ValueError("gmm model selected but no fitted model supplied")
-        if self.gmm is not None and not isinstance(self.gmm, GmmModel):
-            raise ValueError("gmm must be a fitted GmmModel; scenario files cannot carry one")
 
 
 class ObservedIndex(Mapping):

@@ -28,6 +28,7 @@ from .opinions import (
     vacuous,
 )
 from .percept import ObservedIndex
+from .schema import OPEN_UNIT, POSITIVE, UNIT, check, ranged
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -67,37 +68,24 @@ class ProtocolConfig:
     ``head_knowledge_ttl``, is kept only under ``direct_to_head_routing``,
     its one reader."""
 
-    period: float = 1.0
-    request_threshold: float = 0.5
-    accept_threshold: float = 0.5
-    social_distance: float = 10.0
-    denial_ttl: Optional[float] = None
-    head_knowledge_ttl: Optional[float] = None
-    opinion_ttl: Optional[float] = None
-    u_min: float = 0.0
-    base_rate: float = 0.2
+    period: float = ranged(POSITIVE, 1.0)
+    request_threshold: float = ranged(OPEN_UNIT, 0.5)
+    accept_threshold: float = ranged(OPEN_UNIT, 0.5)
+    social_distance: float = ranged(POSITIVE, 10.0)
+    denial_ttl: Optional[float] = ranged(POSITIVE, None)
+    head_knowledge_ttl: Optional[float] = ranged(POSITIVE, None)
+    opinion_ttl: Optional[float] = ranged(POSITIVE, None)
+    u_min: float = ranged(UNIT, 0.0)
+    base_rate: float = ranged(UNIT, 0.2)
     detach_extension: bool = False
     stable_handover: bool = False
     direct_to_head_routing: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.period < float("inf"):
-            raise ValueError("period must be positive and finite")
-        for name in ("request_threshold", "accept_threshold"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if not self.social_distance > 0:
-            raise ValueError("social_distance must be positive")
-        if not 0.0 <= self.u_min <= 1.0:
-            raise ValueError("u_min must lie in [0, 1]")
-        if not 0.0 <= self.base_rate <= 1.0:
-            raise ValueError("base_rate must lie in [0, 1]")
+        check(self)
         for name, periods in (("denial_ttl", 10), ("head_knowledge_ttl", 5), ("opinion_ttl", 3)):
             if getattr(self, name) is None:
                 setattr(self, name, periods * self.period)
-            if not 0.0 < getattr(self, name) < float("inf"):
-                raise ValueError(f"{name} must be positive and finite")
 
 
 class StrongPairs(NamedTuple):

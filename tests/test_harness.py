@@ -201,6 +201,16 @@ class TestIngest:
         assert err.value.line == 3
         assert str(err.value) == f"{path}: line 3: empty member id in {members!r}"
 
+    @pytest.mark.parametrize("member", ["-1", str(2**63)])
+    def test_member_id_outside_agent_ids_rejected_with_line(self, tmp_path, member):
+        path = tmp_path / "truth.csv"
+        path.write_text(f"time,situation_id,member_ids\n0.0,0,3\n0.0,1,2;{member}\n")
+        with pytest.raises(SchemaError) as err:
+            read_situations(path)
+        assert err.value.line == 3
+        message = f"member ids '2;{member}' must each be an agent id in [0, 2**63)"
+        assert str(err.value) == f"{path}: line 3: {message}"
+
     def test_agent_in_two_situations_rejected_with_line(self, tmp_path):
         path = tmp_path / "pred.csv"
         # 2 is listed twice at t=0.5; the same sets at different times are fine
@@ -945,8 +955,8 @@ class TestCli:
             ),
             ({"protocol": {"social_distance": math.nan}}, "social_distance must be positive"),
             ({"net": {"comm_range": math.nan}}, "comm_range must be positive"),
-            ({"net": {"latency": math.inf}}, "latency must be a non-negative integer"),
-            ({"net": {"latency": math.nan}}, "latency must be a non-negative integer"),
+            ({"net": {"latency": math.inf}}, "latency must be a whole number"),
+            ({"net": {"latency": math.nan}}, "latency must be a whole number"),
             ({"percept": {"observation_radius": math.nan}}, "observation_radius must be positive"),
             ({"percept": {"distance_midpoint": math.nan}}, "distance_midpoint must be finite"),
             (
@@ -962,7 +972,7 @@ class TestCli:
             (mobility_section(speed_levels=[0, math.nan, 1.4]), "speed_levels must be"),
             (
                 mobility_section(speed_transitions=[[1.5, -0.5, 0], [0, 1, 0], [0, 0, 1]]),
-                "speed_transitions entries must lie in [0, 1]",
+                "speed_transitions must lie in [0, 1]",
             ),
             (mobility_section(resting_duration_range=[math.nan, 60]), "resting_duration_range"),
         ],
@@ -1134,6 +1144,38 @@ class TestCli:
             code = cli.main(["metrics", "--truth", str(truth), "--predicted", str(predicted)])
             assert code == 1
         assert capsys.readouterr().err.count(f"config error: {bad}: {message}") == 2
+
+    def test_negated_triads_truth_exit_one(self, tmp_path, capsys):
+        # every member id a written as -a-1: rejected at its first row, by
+        # the offline comparison and by a replay alike
+        root = Path(__file__).parent.parent / "scenarios"
+        header, *rows = (root / "fixtures" / "triads_truth.csv").read_text().splitlines()
+        negated = []
+        for row in rows:
+            t, sid, members = row.split(",")
+            negated.append(f"{t},{sid},{';'.join(str(-int(m) - 1) for m in members.split(';'))}")
+        truth = tmp_path / "negated.csv"
+        truth.write_text("\n".join([header, *negated]) + "\n")
+        replay = ["replay", "--config", str(root / "triads.json"), "--ground-truth", str(truth)]
+        assert cli.main(["metrics", "--truth", str(truth), "--predicted", str(truth)]) == 1
+        assert cli.main(replay + ["--out-dir", str(tmp_path / "out")]) == 1
+        first = negated[0].split(",")[2]
+        message = f"config error: {truth}: line 2: member ids {first!r} must each be an agent id"
+        assert capsys.readouterr().err.count(message) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_replay_truth_naming_an_agent_of_no_frame_exit_one(self, tmp_path, capsys):
+        root = Path(__file__).parent.parent / "scenarios"
+        header, *rows = (root / "fixtures" / "triads_truth.csv").read_text().splitlines()
+        # agent 99 joins a situation of the last truth time; the trace never has it
+        t, sid, members = rows[-1].split(",")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join([header, *rows[:-1], f"{t},{sid},{members};99"]) + "\n")
+        args = ["replay", "--config", str(root / "triads.json"), "--ground-truth", str(truth)]
+        assert cli.main(args + ["--out-dir", str(tmp_path / "out")]) == 1
+        message = f"config error: {truth}: agent 99 is in no frame of the trace\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
 
     def test_replay_with_header_only_truth_exit_one(self, tmp_path, capsys):
         empty = tmp_path / "truth.csv"
