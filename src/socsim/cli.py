@@ -94,13 +94,30 @@ def _cmd_sweep(args) -> int:
     raw_values = args.values.split(",")
     if raw_values == [""]:
         raise SchemaError("sweep needs at least one value")
-    if "" in raw_values:
-        raise SchemaError(f"--values item {raw_values.index('') + 1} is empty")
-    values = [int(v) if args.parameter == "n_agents" else float(v) for v in raw_values]
+    values = [_json_number(text, item) for item, text in enumerate(raw_values, 1)]
     rows = harness.sweep(scenario, args.parameter, values, args.out_dir, fmt=args.format)
     for row in rows:
         print(json.dumps(row, sort_keys=True))
     return EXIT_OK
+
+
+def _json_number(text: str, item: int) -> int | float:
+    """``--values`` item ``item`` as a JSON number, left to the swept field's
+    schema to check."""
+    if not text:
+        raise SchemaError(f"--values item {item} is empty")
+    try:
+        # NaN and Infinity are not JSON numbers
+        value = json.loads(text, parse_constant=_not_a_number)
+    except ValueError:
+        value = None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"--values item {item} {text!r} is not a JSON number")
+    return value
+
+
+def _not_a_number(name: str):
+    raise ValueError(name)
 
 
 def _cmd_metrics(args) -> int:

@@ -10,6 +10,7 @@ with derived seeds. Everything is deterministic per (scenario, seed).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import json
 import logging
@@ -35,7 +36,14 @@ from .schema import ranged
 
 log = logging.getLogger(__name__)
 
-SWEEPABLE = ("moving_group_ratio", "n_agents", "loss", "noise")
+# the config field each sweepable parameter sets
+SWEPT_FIELDS = {
+    "moving_group_ratio": "source.mobility.moving_group_ratio",
+    "n_agents": "source.mobility.n_agents",
+    "loss": "net.loss_probability",
+    "noise": "percept.noise_sigma_pos",
+}
+SWEEPABLE = tuple(SWEPT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -490,7 +498,7 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
 
     period = scenario.protocol.period
     strong_at = (scenario.protocol.request_threshold, scenario.protocol.u_min)
-    steps_per_period, n_periods, sample_every = _schedule(scenario)
+    steps_per_period, _, sample_every = _schedule(scenario)
 
     # period index -> departing agents; a removal at t takes effect at the
     # first period k with k * period >= t - PERIOD_TOL, the protocol's rounding rule
@@ -511,31 +519,21 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
     # one object per distinct block, partition and (role, head) pair of the run
     shared: dict = {}
 
-    for k in range(n_periods + 1):
+    percepts = _percepts(scenario, frames, providers, sorted(agents), departures, percept_rng)
+    for k, (observed, in_range) in enumerate(percepts):
         now = k * period
         frame_idx = k * steps_per_period
-        frame = _frame_with_providers(frames[frame_idx], providers)
 
         for departing in departures.get(k, ()):
             agent = agents.pop(departing)
             if agent.role is Role.CLUSTER_HEAD and len(agent.members) > 1:
                 network.inject(now, departing, agent.handover_head(now))
 
-        positions = {
-            aid: (float(frame.pos[i, 0]), float(frame.pos[i, 1]))
-            for i, aid in enumerate(frame.ids)
-            if aid in agents
-        }
-
-        observers = [aid for aid in sorted(agents) if aid in positions]
-        observed = percept.observe_period(
-            frame, observers, scenario.percept, percept_rng, *strong_at
-        )
         for aid, (index, neighbours, strong) in observed.items():
             neighbor_list = tuple((nid, kind_map[nid], dist) for nid, dist in neighbours)
             agents[aid].apply_percept(index, neighbor_list, now, StrongPairs(*strong_at, strong))
 
-        network.step(now, positions, agents)
+        network.step(now, in_range, agents)
 
         if k % sample_every == 0:
             universe = frozenset(frames[frame_idx].ids)
@@ -566,6 +564,46 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
     if out_dir is not None:
         _write_outputs(result, frames, truth, Path(out_dir), fmt)
     return result
+
+
+def _percepts(
+    scenario: Scenario,
+    frames: Sequence[TraceFrame],
+    providers: list[tuple[int, float, float]],
+    agents: list[int],
+    departures: dict[int, list[int]],
+    rng: np.random.Generator,
+) -> Iterator[tuple[percept.Percept, percept.RangeTable]]:
+    """Each period's percept and range table, in period order. A period's
+    observers are the ascending ``agents``, less the departures up to it,
+    that its frame holds. Periods are observed a block at a time
+    (``percept.observe_block``), each block whole periods up to
+    ``percept.BLOCK_ENTRIES`` observer x individual entries, at least one."""
+    steps_per_period, n_periods, _ = _schedule(scenario)
+    strong_at = (scenario.protocol.request_threshold, scenario.protocol.u_min)
+
+    def observe(block):
+        frames, observers = zip(*block)
+        return percept.observe_block(
+            frames, observers, scenario.percept, rng, *strong_at, scenario.net.comm_range
+        )
+
+    live = list(agents)
+    block: list[tuple[TraceFrame, list[int]]] = []
+    entries = 0
+    for k in range(n_periods + 1):
+        for departing in departures.get(k, ()):
+            live.remove(departing)
+        frame = _frame_with_providers(frames[k * steps_per_period], providers)
+        present = set(frame.ids)
+        observers = [aid for aid in live if aid in present]
+        size = len(observers) * len(frame.ids)
+        if block and entries + size > percept.BLOCK_ENTRIES:
+            yield from observe(block)
+            block, entries = [], 0
+        block.append((frame, observers))
+        entries += size
+    yield from observe(block)
 
 
 def _load_source(scenario: Scenario) -> tuple[list[TraceFrame], Optional[GroundTruth]]:
@@ -795,20 +833,29 @@ def sweep(
     fmt: str = "csv",
 ) -> list[dict]:
     """One run per value with seed = base seed XOR index; returns (and
-    optionally writes) one plot-ready summary row per value."""
+    optionally writes) one plot-ready summary row per value, the value as
+    its config field's schema parsed it."""
     if parameter not in SWEEPABLE:
         raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
     # every value is checked before the first run
-    scenarios = [_apply_parameter(base, parameter, value) for value in values]
+    field_path = SWEPT_FIELDS[parameter]
+    section = field_path.rpartition(".")[0]
+    scenarios = []
+    for item, value in enumerate(values, 1):
+        try:
+            scenarios.append(_apply_parameter(base, parameter, value))
+        except SchemaError as exc:
+            raise SchemaError(f"sweep {parameter}, value {item}: {section}.{exc}") from None
     rows: list[dict] = []
-    for idx, (value, scenario) in enumerate(zip(values, scenarios)):
+    for idx, scenario in enumerate(scenarios):
         scenario.seed = base.seed ^ idx
         run_dir = None
         if out_dir is not None:
             run_dir = Path(out_dir) / f"run_{parameter}_{idx}"
         result = run(scenario, run_dir, fmt)
+        value = functools.reduce(getattr, field_path.split("."), scenario)
         row = {"parameter": parameter, "value": value, "seed": scenario.seed}
         row.update(result.summary)
         rows.append(row)

@@ -167,14 +167,15 @@ class DeliveryLog:
         return mine == theirs
 
     def write(self, path) -> None:
-        """Write the wire lines. A plain log is written chunk by chunk; a gzip
-        log compresses the whole body in one call. zlib's output does not depend
-        on how its input is split into calls, only a flush changes it."""
+        """Write the wire lines, chunk by chunk. A gzip log feeds the chunks to
+        one compressor and never flushes it, so its bytes are those of one
+        call on the whole body: zlib's output does not depend on how its input
+        is split into calls, only a flush changes it."""
         with open(path, "wb") as raw:
             if str(path).endswith(".gz"):
                 # fixed mtime and empty name keep the output reproducible
                 with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as fh:
-                    fh.write(self.body())
+                    fh.writelines(self._body_parts())
             else:
                 raw.writelines(self._body_parts())
 
@@ -226,7 +227,7 @@ class BoundReport:
 
 
 class Network:
-    """Delivers protocol messages among agents with positions."""
+    """Delivers protocol messages among agents, in range by each step's range table."""
 
     def __init__(
         self,
@@ -245,7 +246,7 @@ class Network:
         self._queue: dict[int, deque[tuple[Message, int, tuple[int, ...], list]]] = {}
         self._step_no = -1
         # sender -> ascending ids of the other agents within comm range,
-        # from the positions of the latest step
+        # the latest step's range table
         self._receivers: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -253,12 +254,14 @@ class Network:
     def step(
         self,
         now: float,
-        positions: dict[int, tuple[float, float]],
+        in_range: Mapping[int, tuple[int, ...]],
         agents: dict[int, Agent],
     ) -> None:
-        """Run one protocol period at simulation time ``now``."""
+        """Run one protocol period at simulation time ``now``. ``in_range`` is
+        the period's range table: each agent present maps to the ascending ids
+        of the other agents within comm range (``percept.observe_block``)."""
         self._step_no += 1
-        self._update_range(positions, agents)
+        self._set_range(in_range)
         order = sorted(agents)
         self._drain(now, agents)
         for aid in order:
@@ -274,37 +277,23 @@ class Network:
     def inject(self, now: float, sender: int, emissions) -> None:
         """Schedule externally produced emissions (e.g. a departure
         handover) for delivery in the upcoming step. Range is that of the
-        latest step's positions."""
+        latest step's range table."""
         self._emit(now, sender, emissions, deliver_step=self._step_no + 1)
 
     # ------------------------------------------------------------------
 
-    def _update_range(
-        self, positions: dict[int, tuple[float, float]], agents: dict[int, Agent]
-    ) -> None:
-        """Build this step's range table, every agent's ascending list of the
-        other agents within comm range (dx * dx + dy * dy <= comm_range ** 2),
-        and record each agent's count of them. Positions of ids that are not
-        agents are left out: only agents receive messages and are counted."""
-        ids = sorted(aid for aid in positions if aid in agents)
-        pos = np.array([positions[a] for a in ids], dtype=float).reshape(-1, 2)
-        dx = pos[:, 0][:, None] - pos[:, 0][None, :]
-        dy = pos[:, 1][:, None] - pos[:, 1][None, :]
-        within = dx * dx + dy * dy <= self.config.comm_range**2
-        np.fill_diagonal(within, False)
-        receivers = np.asarray(ids, dtype=np.int64)[np.nonzero(within)[1]].tolist()
-        counts = within.sum(axis=1)
-        ends = np.cumsum(counts).tolist()
-        # a receiver tuple equal to the previous step's keeps its object: the
-        # log's open records hold the tuples, and pickle writes each once
+    def _set_range(self, in_range: Mapping[int, tuple[int, ...]]) -> None:
+        """Take this step's range table and record each agent's count of
+        receivers. A receiver tuple equal to the previous step's keeps its
+        object: the log's open records hold the tuples, and pickle writes each once."""
         previous = self._receivers
         table = {}
-        for aid, start, end in zip(ids, [0] + ends, ends):
-            now_in_range = tuple(receivers[start:end])
+        for aid in sorted(in_range):
+            now_in_range = in_range[aid]
             before = previous.get(aid)
             table[aid] = before if before == now_in_range else now_in_range
         self._receivers = table
-        self.log.neighbor_counts.append(tuple(ids), counts.tolist())
+        self.log.neighbor_counts.append(tuple(table), [len(r) for r in table.values()])
 
     def _emit(self, now: float, sender: int, emissions, deliver_step: Optional[int] = None) -> None:
         cfg = self.config

@@ -15,8 +15,8 @@ import math
 from collections.abc import KeysView, Mapping
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
-from typing import Literal, Optional, Sequence
+from itertools import accumulate, chain, compress, repeat
+from typing import Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -73,19 +73,19 @@ class PerceptConfig:
 class ObservedIndex(Mapping):
     """One observer's pair index for one period, read-only and built on first
     read: an opinion about every unordered pair ``(lo, hi)``, ``lo < hi``, of
-    the individuals it sees, in ``observe_period``'s pair order.
+    the individuals it sees, in ``observe_block``'s pair order.
 
-    It holds the period's pair rows, its own range of them and the ids it
+    It holds the block's pair rows, its own range of them and the ids it
     sees, and builds its ``{(lo, hi): opinion}`` dict when a value, an item or
     the key order is first read; from then on it reads that dict, and the
-    period's rows are no longer held. ``len``, truthiness, ``pair in index``
-    and ``a.keys() <= b.keys()`` between two observed indices never build it:
-    an observer's pairs are all pairs of what it sees."""
+    block's rows are no longer held by it. ``len``, truthiness, ``pair in
+    index`` and ``a.keys() <= b.keys()`` between two observed indices never
+    build it: an observer's pairs are all pairs of what it sees."""
 
     __slots__ = ("_rows", "_start", "_end", "_seen", "_index")
 
     def __init__(self, rows: tuple, start: int, end: int, seen: frozenset[int]):
-        # the period's lo and hi lists and belief and disbelief arrays (kept
+        # the block's lo and hi lists and belief and disbelief arrays (kept
         # as arrays: a float costs 8 bytes there and 32 in a list), then the
         # uncertainty and the base rate that every opinion shares
         self._rows = rows
@@ -159,38 +159,77 @@ class _ObservedKeys(KeysView):
 _new_opinion = partial(tuple.__new__, Opinion)
 
 
-def observe_period(
-    frame: TraceFrame,
-    observers: Sequence[int],
+# A block of periods holds whole periods up to this many observer x individual
+# entries, and at least one period: the entries, and the numpy temporaries
+# that grow with the pairs seen, stay bounded whatever the period's size. A
+# block's fixed cost is a few dozen numpy calls; twice this cap saved no
+# measurable time and added 0.5 MB to a 12-agent replay's peak RSS.
+BLOCK_ENTRIES = 2048
+
+Percept = dict[int, tuple[ObservedIndex, list[tuple[int, float]], tuple[tuple[int, int], ...]]]
+RangeTable = dict[int, tuple[int, ...]]
+
+
+class _Entries(NamedTuple):
+    """A block's geometry: its frames' columns laid end to end, one row per
+    (period, observer) in order, and one entry per row and column of the
+    row's own frame, row-major."""
+
+    ids: np.ndarray  # per column
+    pos: np.ndarray
+    angle: np.ndarray
+    obs_col: np.ndarray  # per row: the observer's own column
+    row: np.ndarray  # per entry
+    col: np.ndarray
+    other: np.ndarray  # the column is not the row's observer
+    dx: np.ndarray  # column minus observer
+    dy: np.ndarray
+    dist: np.ndarray
+    within: np.ndarray  # dist within the observation radius
+
+
+def observe_block(
+    frames: Sequence[TraceFrame],
+    observers: Sequence[Sequence[int]],
     config: PerceptConfig,
     rng: np.random.Generator,
     request_threshold: float = 0.5,
     u_min: float = 0.0,
-) -> dict[int, tuple[ObservedIndex, list[tuple[int, float]], tuple[tuple[int, int], ...]]]:
-    """One period's percept for every observer in one vectorised pass.
+    comm_range: float = math.inf,
+) -> list[tuple[Percept, RangeTable]]:
+    """The percept and the range table of consecutive periods in one
+    vectorised pass, ``observers[p]`` the observers of ``frames[p]``.
 
-    Maps each observer to its pair index, an opinion about every unordered
-    pair with both individuals within the observation radius, as an
-    ``ObservedIndex`` built on first read; its (id, true distance) list of
-    the other individuals within that radius; and the pairs of its index
-    whose opinion passes ``opinions.may_pass`` at the protocol's
-    ``request_threshold`` and ``u_min``, in index order. Each
+    Per period, the percept maps each observer to its pair index, an opinion
+    about every unordered pair with both individuals within the observation
+    radius, as an ``ObservedIndex`` built on first read; its (id, true
+    distance) list of the other individuals within that radius; and the
+    pairs of its index whose opinion passes ``opinions.may_pass`` at the
+    protocol's ``request_threshold`` and ``u_min``, in index order. Each
     observer perturbs the positions and shoulder angles it sees with the
     configured sensor noise before the geometry features are computed, so
     the opinion about (i, j) does not depend on pair ordering. The noise of
-    all observers is one draw, laid out per observer in ``observers`` order
-    as its (m, 2) position block followed by its m angles; observers seeing
-    fewer than two individuals draw nothing."""
-    obs_idx, dist, within = _visibility(frame, observers, config.observation_radius)
-    visible = within.sum(axis=1)
+    the block is one draw, laid out period by period and, within a period,
+    per observer in ``observers`` order as its (m, 2) position block
+    followed by its m angles, so it equals one draw per period; observers
+    seeing fewer than two individuals draw nothing.
+
+    The range table maps each observer to the ascending ids of the other
+    observers of its period within ``comm_range`` (``dx * dx + dy * dy <=
+    comm_range ** 2``): the observers are a period's agents, and only agents
+    receive messages."""
+    e = _visibility(frames, observers, config.observation_radius)
+    n_rows = len(e.obs_col)
+    visible = np.bincount(e.row[e.within], minlength=n_rows)
     per_row = np.where(visible >= 2, visible, 0)
     # one slot per individual seen by an observer that sees a pair, in
     # row-major order: the order of the noise draws
-    rows, cols = np.nonzero(within & (per_row > 0)[:, None])
+    slots = np.flatnonzero(e.within & (per_row > 0)[e.row])
+    rows, cols = e.row[slots], e.col[slots]
     first = (np.cumsum(per_row) - per_row)[rows]  # first slot of the row
     rank = np.arange(len(rows)) - first
-    pos = frame.pos[cols]
-    ang = frame.angle[cols]
+    pos = e.pos[cols]
+    ang = e.angle[cols]
     sigma_pos, sigma_ang = config.noise_sigma_pos, config.noise_sigma_angle
     if len(rows) and (sigma_pos > 0.0 or sigma_ang > 0.0):
         draws = 2 * (sigma_pos > 0.0) + (sigma_ang > 0.0)
@@ -211,7 +250,7 @@ def observe_period(
     dist_ij, phi = _kernels.pair_geometry(pos, ang, i_slot, j_slot)
     likelihood = _likelihood(dist_ij, phi, config)
     u0, base_rate = config.base_uncertainty, config.base_rate
-    seen = np.asarray(frame.ids)[cols]
+    seen = e.ids[cols]
     a, b = seen[i_slot], seen[j_slot]
     lo, hi = np.minimum(a, b).tolist(), np.maximum(a, b).tolist()
     belief, disbelief = likelihood * (1.0 - u0), (1.0 - likelihood) * (1.0 - u0)
@@ -222,24 +261,47 @@ def observe_period(
         expected = belief * ((1.0 - u_min) / (belief + disbelief)) + base_rate * u_min
     strong = expected >= request_threshold - FUSION_BOUND_TOL
     mask = strong.tolist()
-    strong_pairs = list(zip(compress(lo, mask), compress(hi, mask)))
-    strong_ends = np.cumsum(np.bincount(pair_rows[strong], minlength=len(obs_idx))).tolist()
-    strong_lists = [tuple(strong_pairs[s:e]) for s, e in zip([0] + strong_ends, strong_ends)]
-    neighbours = _neighbour_lists(frame, obs_idx, dist, within)
-    ends = np.cumsum(np.bincount(pair_rows, minlength=len(obs_idx))).tolist()
+    strong_pairs = tuple(zip(compress(lo, mask), compress(hi, mask)))
+    strong_lists = _split(strong_pairs, pair_rows[strong], n_rows)
+    neighbours = _neighbour_lists(e)
+    is_agent = np.zeros(len(e.ids), dtype=bool)
+    is_agent[e.obs_col] = True
+    in_range = (e.dx * e.dx + e.dy * e.dy <= comm_range**2) & is_agent[e.col] & e.other
+    in_range = np.flatnonzero(in_range)
+    receiver_rows, receiver_ids = e.row[in_range], e.ids[e.col[in_range]]
+    if any(list(frame.ids) != sorted(frame.ids) for frame in frames):
+        # receivers ascend by id, but a frame's columns need not: an opinion
+        # provider's comes last whatever its id
+        receiver_ids = receiver_ids[np.lexsort((receiver_ids, receiver_rows))]
+    receivers = _split(tuple(receiver_ids.tolist()), receiver_rows, n_rows)
+    ends = np.cumsum(np.bincount(pair_rows, minlength=n_rows)).tolist()
     seen_ids = seen.tolist()
     seen_ends = np.cumsum(per_row).tolist()
-    period_rows = (lo, hi, belief, disbelief, u0, base_rate)
-    return {
-        observer: (
-            ObservedIndex(period_rows, start, end, frozenset(seen_ids[seen_start:seen_end])),
-            neighbours[r],
-            strong_lists[r],
+    block_rows = (lo, hi, belief, disbelief, u0, base_rate)
+    percepts = [
+        (ObservedIndex(block_rows, start, end, frozenset(seen_ids[seen_start:seen_end])), *row)
+        for start, end, seen_start, seen_end, *row in zip(
+            [0] + ends, ends, [0] + seen_ends, seen_ends, neighbours, strong_lists
         )
-        for r, (observer, start, end, seen_start, seen_end) in enumerate(
-            zip(observers, [0] + ends, ends, [0] + seen_ends, seen_ends)
-        )
-    }
+    ]
+    bounds = list(accumulate(map(len, observers), initial=0))
+    return [
+        (dict(zip(ids, percepts[r:q])), dict(zip(ids, receivers[r:q])))
+        for ids, r, q in zip(observers, bounds, bounds[1:])
+    ]
+
+
+def observe_period(
+    frame: TraceFrame,
+    observers: Sequence[int],
+    config: PerceptConfig,
+    rng: np.random.Generator,
+    request_threshold: float = 0.5,
+    u_min: float = 0.0,
+) -> Percept:
+    """One period's percept for every observer: ``observe_block`` of one period."""
+    [(percept, _)] = observe_block([frame], [observers], config, rng, request_threshold, u_min)
+    return percept
 
 
 def observe(
@@ -248,7 +310,7 @@ def observe(
     config: PerceptConfig,
     rng: np.random.Generator,
 ) -> ObservedIndex:
-    """Pair index of one observer; see ``observe_period``."""
+    """Pair index of one observer; see ``observe_block``."""
     return observe_period(frame, [observer], config, rng)[observer][0]
 
 
@@ -256,35 +318,56 @@ def neighbors_within(frame: TraceFrame, observer: int, radius: float) -> list[tu
     """(id, true distance) for every other individual within ``radius``."""
     if observer not in frame.ids:
         return []
-    obs_idx, dist, within = _visibility(frame, [observer], radius)
-    return _neighbour_lists(frame, obs_idx, dist, within)[0]
+    return _neighbour_lists(_visibility([frame], [[observer]], radius))[0]
 
 
 def _visibility(
-    frame: TraceFrame, observers: Sequence[int], radius: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frame rows of the observers, their (observers, n) true distance rows
-    to every individual, and which of those lie within ``radius``."""
-    index = {aid: k for k, aid in enumerate(frame.ids)}
-    missing = [o for o in observers if o not in index]
-    if missing:
-        raise ValueError(f"observer {missing[0]} not present in frame at t={frame.time}")
-    obs_idx = np.array([index[o] for o in observers], dtype=np.intp)
-    dx = frame.pos[:, 0] - frame.pos[obs_idx, 0][:, None]
-    dy = frame.pos[:, 1] - frame.pos[obs_idx, 1][:, None]
+    frames: Sequence[TraceFrame], observers: Sequence[Sequence[int]], radius: float
+) -> _Entries:
+    """The block's entries, with each one's true distance from its row's
+    observer to its column and whether that lies within ``radius``."""
+    own_cols: list[int] = []
+    widths: list[int] = []  # per row: the columns of its frame
+    bases: list[int] = []  # per row: its frame's first column
+    n_cols = 0
+    for frame, period_observers in zip(frames, observers):
+        index = {aid: n_cols + k for k, aid in enumerate(frame.ids)}
+        for o in period_observers:
+            if o not in index:
+                raise ValueError(f"observer {o} not present in frame at t={frame.time}")
+            own_cols.append(index[o])
+        widths += repeat(len(index), len(period_observers))
+        bases += repeat(n_cols, len(period_observers))
+        n_cols += len(index)
+    ids = np.fromiter(chain.from_iterable(f.ids for f in frames), np.int64, n_cols)
+    pos = np.concatenate([f.pos for f in frames])
+    angle = np.concatenate([f.angle for f in frames])
+    obs_col = np.array(own_cols, dtype=np.intp)
+    width = np.array(widths, dtype=np.intp)
+    row = np.repeat(np.arange(len(obs_col)), width)
+    # an entry's column: its frame's first column plus its place in the row
+    shift = np.array(bases, dtype=np.intp) - (np.cumsum(width) - width)
+    col = np.arange(len(row)) + np.repeat(shift, width)
+    own = obs_col[row]
+    x, y = pos[:, 0], pos[:, 1]  # gathers from one axis, not pos[col, 0]: a third the time
+    dx = x[col] - x[own]
+    dy = y[col] - y[own]
     dist = np.hypot(dx, dy)
-    return obs_idx, dist, dist <= radius
+    return _Entries(ids, pos, angle, obs_col, row, col, col != own, dx, dy, dist, dist <= radius)
 
 
-def _neighbour_lists(
-    frame: TraceFrame, obs_idx: np.ndarray, dist: np.ndarray, within: np.ndarray
-) -> list[list[tuple[int, float]]]:
-    others = within.copy()
-    others[np.arange(len(obs_idx)), obs_idx] = False
-    rows, cols = np.nonzero(others)
-    pairs = list(zip(np.asarray(frame.ids)[cols].tolist(), dist[rows, cols].tolist()))
-    ends = np.cumsum(others.sum(axis=1)).tolist()
-    return [pairs[start:end] for start, end in zip([0] + ends, ends)]
+def _split(flat: Sequence, rows: np.ndarray, n_rows: int) -> list:
+    """``flat`` grouped by ``rows`` (ascending row indices, one per item):
+    one slice of it per row of ``n_rows``."""
+    ends = np.cumsum(np.bincount(rows, minlength=n_rows)).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _neighbour_lists(e: _Entries) -> list[list[tuple[int, float]]]:
+    """Each row's (id, true distance) of the other individuals within the radius."""
+    others = np.flatnonzero(e.within & e.other)
+    pairs = list(zip(e.ids[e.col[others]].tolist(), e.dist[others].tolist()))
+    return _split(pairs, e.row[others], len(e.obs_col))
 
 
 def _likelihood(dist: np.ndarray, phi: np.ndarray, config: PerceptConfig) -> np.ndarray:

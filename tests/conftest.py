@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
+from socsim.mobility import TraceFrame
 from socsim.opinions import PRIOR_WEIGHT, Opinion
 
 _unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -91,6 +92,46 @@ def random_partition(rng: np.random.Generator, n: int, max_blocks: int | None = 
     for agent, label in enumerate(labels):
         blocks.setdefault(int(label), set()).add(agent)
     return list(blocks.values())
+
+
+def range_table(positions, agents, comm_range: float) -> dict[int, tuple[int, ...]]:
+    """The range table ``Network.step`` takes, from positions: every agent's
+    ascending tuple of the other agents within comm range (dx * dx + dy * dy
+    <= comm_range ** 2). Positions of ids that are not agents are left out:
+    only agents receive messages and are counted."""
+    ids = sorted(aid for aid in positions if aid in agents)
+    pos = np.array([positions[a] for a in ids], dtype=float).reshape(-1, 2)
+    dx = pos[:, 0][:, None] - pos[:, 0][None, :]
+    dy = pos[:, 1][:, None] - pos[:, 1][None, :]
+    within = dx * dx + dy * dy <= comm_range**2
+    np.fill_diagonal(within, False)
+    return {aid: tuple(np.asarray(ids)[row].tolist()) for aid, row in zip(ids, within)}
+
+
+def random_periods(rng: np.random.Generator, k: int, agentless=frozenset({3, 7})):
+    """``k`` frames whose id sets vary from frame to frame, and each frame's
+    observers (its ids but the ``agentless``, ascending). Columns come in
+    shuffled order, and in some frames an opinion provider with the lowest
+    id, 0, comes last; some frames sit on an integer grid, so that squared
+    distances hit a whole range exactly, and share points."""
+    frames, observers = [], []
+    for t in range(k):
+        # a few frames hold agentless ids only
+        pool = np.array(sorted(agentless)) if rng.random() < 0.1 else np.arange(1, 16)
+        n = int(rng.integers(1, len(pool) + 1))
+        ids = [int(v) for v in rng.choice(pool, size=n, replace=False)]
+        if rng.random() < 0.5:
+            pos = rng.integers(0, 12, size=(n, 2)).astype(float)
+        else:
+            pos = rng.uniform(0.0, float(rng.choice([6.0, 25.0])), size=(n, 2))
+        ang = rng.uniform(0.0, 2 * np.pi, size=n)
+        if rng.random() < 0.4:
+            ids.append(0)
+            pos = np.vstack([pos, rng.uniform(0.0, 6.0, size=(1, 2))])
+            ang = np.append(ang, 0.0)
+        frames.append(TraceFrame(float(t), tuple(ids), pos, ang))
+        observers.append(sorted(set(ids) - agentless))
+    return frames, observers
 
 
 def assert_opinions_close(x: Opinion, y: Opinion, tol: float = 1e-9) -> None:

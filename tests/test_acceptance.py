@@ -31,7 +31,7 @@ from socsim.opinions import Opinion, fuse_averaging, fuse_averaging_multi, fuse_
 from socsim.percept import PerceptConfig
 from socsim.protocol import Agent, AgentKind, ProtocolConfig, Role
 
-from conftest import brute_force_pair_counts
+from conftest import brute_force_pair_counts, range_table
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 PRIOR_WEIGHT = 2.0
@@ -173,7 +173,7 @@ def _mutual_request_run(scheduler):
         for aid, agent in sorted(agents.items()):
             other = 2 if aid == 1 else 1
             agent.apply_percept({(1, 2): strong}, ((other, AgentKind.HUMAN_LINKED, 1.0),), now)
-        net.step(now, positions, agents)
+        net.step(now, range_table(positions, agents, net.config.comm_range), agents)
     return agents
 
 

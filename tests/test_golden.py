@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socsim.harness import Scenario, SyntheticSource, load_scenario, run
+from socsim.harness import ReplaySource, Scenario, SyntheticSource, load_scenario, run
 from socsim.mobility import MobilityConfig
 from socsim.netsim import NetConfig
 from socsim.percept import PerceptConfig, fit_gmm
@@ -54,27 +54,48 @@ def _gmm_scenario() -> Scenario:
     )
 
 
+def _varying_cast(work: Path) -> Scenario:
+    """The triads replay with agent 4 absent from the frames 20 <= t < 40 s,
+    its trace written under ``work``."""
+    triads = _shipped("triads")
+    lines = triads.source.trace.read_text().splitlines(keepends=True)
+    kept = [lines[0]]
+    for line in lines[1:]:
+        t, aid = line.split(",")[:2]
+        if not (aid == "4" and 20.0 <= float(t) < 40.0):
+            kept.append(line)
+    trace = work / "varying_cast_trace.csv"
+    trace.write_text("".join(kept))
+    return dataclasses.replace(
+        triads, source=ReplaySource(trace, triads.source.ground_truth)
+    )
+
+
+# each case builds its scenario from a work directory, which it may write
+# input files to; outputs go elsewhere
 CASES = {
-    "quick": lambda: _shipped("quick"),
-    "triads": lambda: _shipped("triads"),
-    "crowded": lambda: _shipped("crowded"),
-    "quick_loss": lambda: _quick(net=NetConfig(loss_probability=0.2)),
-    "quick_latency": lambda: _quick(net=NetConfig(latency=1)),
-    "removals_handover": lambda: Scenario(
+    "quick": lambda work: _shipped("quick"),
+    "triads": lambda work: _shipped("triads"),
+    "crowded": lambda work: _shipped("crowded"),
+    "quick_loss": lambda work: _quick(net=NetConfig(loss_probability=0.2)),
+    "quick_latency": lambda work: _quick(net=NetConfig(latency=1)),
+    "removals_handover": lambda work: Scenario(
         source=SyntheticSource(MobilityConfig(n_agents=12, seed=8, group_formation_rate=0.2)),
         protocol=ProtocolConfig(stable_handover=True),
         duration=60.0,
         seed=5,
         removals=((30.0, 3), (40.0, 7), (45.0, 4), (56.0, 9)),
     ),
-    "detach_agentless": lambda: _quick(
+    "detach_agentless": lambda work: _quick(
         protocol=ProtocolConfig(detach_extension=True), agentless_ids=frozenset({2, 5})
     ),
-    "direct_to_head": lambda: _quick(protocol=ProtocolConfig(direct_to_head_routing=True)),
-    "opinion_providers": lambda: _quick(opinion_providers=((100, 25.0, 25.0), (101, 10.0, 30.0))),
-    "gmm_percept": _gmm_scenario,
+    "direct_to_head": lambda work: _quick(protocol=ProtocolConfig(direct_to_head_routing=True)),
+    "opinion_providers": lambda work: _quick(
+        opinion_providers=((100, 25.0, 25.0), (101, 10.0, 30.0))
+    ),
+    "gmm_percept": lambda work: _gmm_scenario(),
     # a period that float arithmetic does not represent exactly
-    "short_period_handover": lambda: Scenario(
+    "short_period_handover": lambda work: Scenario(
         source=SyntheticSource(MobilityConfig(n_agents=12, seed=8, group_formation_rate=0.2)),
         protocol=ProtocolConfig(period=0.1, stable_handover=True),
         net=NetConfig(loss_probability=0.2),
@@ -84,6 +105,9 @@ CASES = {
         seed=5,
         removals=((29.0, 1),),
     ),
+    # a provider whose frame column comes last although its id is the lowest
+    "replay_low_provider": lambda work: _shipped("triads", opinion_providers=((0, 5.0, 5.0),)),
+    "replay_varying_cast": _varying_cast,
 }
 
 
@@ -99,8 +123,9 @@ def output_digests(out_dir: Path) -> dict[str, str]:
     return digests
 
 
-def case_digests(name: str, out_dir: Path) -> dict[str, str]:
-    run(CASES[name](), out_dir)
+def case_digests(name: str, work: Path) -> dict[str, str]:
+    out_dir = work / "out"
+    run(CASES[name](work), out_dir)
     return output_digests(out_dir)
 
 
@@ -112,10 +137,10 @@ def test_golden_digests(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["removals_handover", "short_period_handover", "crowded"])
-def test_role_follows_head(name):
+def test_role_follows_head(name, tmp_path):
     # accepted responses, foreign adoption, head timeouts and handovers all
     # occur in these runs; an agent heads a cluster exactly when it is its own head
-    result = run(CASES[name]())
+    result = run(CASES[name](tmp_path))
     sampled = [
         (aid, role, head)
         for _, roles in result.role_samples
@@ -131,7 +156,9 @@ def regenerate(path: Path = DIGESTS) -> None:
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
-            table[name] = case_digests(name, Path(tmp) / name)
+            work = Path(tmp) / name
+            work.mkdir()
+            table[name] = case_digests(name, work)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
 

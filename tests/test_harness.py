@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socsim import cli, harness
+from socsim import cli, harness, percept
 from socsim.harness import (
     ReplaySource,
     Scenario,
@@ -38,6 +38,7 @@ from socsim.percept import PerceptConfig
 from socsim.protocol import Agent, ProtocolConfig
 
 from conftest import counted
+from test_golden import CASES, output_digests
 
 
 def synthetic_scenario(**overrides) -> Scenario:
@@ -469,6 +470,36 @@ class TestRun:
         run(scenario, tmp_path / "b")
         for name in ("metrics.csv", "partitions.csv", "messages.log", "summary.json", "trace.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    # departures, a varying cast, a low-id provider, and a period not exact in floats
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "removals_handover",
+            "replay_varying_cast",
+            "replay_low_provider",
+            "short_period_handover",
+        ],
+    )
+    def test_outputs_do_not_depend_on_block_size(self, case, tmp_path, monkeypatch):
+        scenario = CASES[case](tmp_path)
+        digests = []
+        for cap in (1, percept.BLOCK_ENTRIES, 1 << 40):
+            blocks = []
+            monkeypatch.setattr(percept, "BLOCK_ENTRIES", cap)
+            monkeypatch.setattr(percept, "observe_block", counted(percept.observe_block, blocks))
+            run(scenario, tmp_path / str(cap))
+            monkeypatch.undo()
+            digests.append(output_digests(tmp_path / str(cap)))
+            # whole periods, greedily: a block stops where the next period would pass the cap
+            sizes = [[len(o) * len(f.ids) for f, o in zip(*args[:2])] for args in blocks]
+            assert all(len(b) == 1 or sum(b) <= cap for b in sizes)
+            assert all(sum(b) + c[0] > cap for b, c in zip(sizes, sizes[1:]))
+            if cap == 1:
+                assert all(len(b) == 1 for b in sizes)
+            elif cap > 1 << 20:
+                assert len(sizes) == 1
+        assert digests[0] == digests[1] == digests[2]
 
     def test_replay_of_synthetic_trace_matches_synthetic_run(self, tmp_path):
         scenario = synthetic_scenario()
@@ -1289,6 +1320,61 @@ class TestCli:
         assert code == 1
         assert f"--values item {item} is empty" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "parameter, values, message",
+        [
+            ("n_agents", "4,8.5", "source.mobility.n_agents must be a whole number, got 8.5"),
+            (
+                "n_agents",
+                "4,-3",
+                "source.mobility.n_agents must be non-negative and finite, got -3",
+            ),
+            ("n_agents", "4,x", "--values item 2 'x' is not a JSON number"),
+            ("n_agents", "true", "--values item 1 'true' is not a JSON number"),
+            ("loss", "0,nan", "--values item 2 'nan' is not a JSON number"),
+            ("loss", "0,NaN", "--values item 2 'NaN' is not a JSON number"),
+            ("loss", '0,"0.1"', "--values item 2 '\"0.1\"' is not a JSON number"),
+            ("loss", "0,1.5", "net.loss_probability must lie in [0, 1), got 1.5"),
+        ],
+    )
+    def test_sweep_values_are_json_numbers_checked_by_the_schema(
+        self, tmp_path, capsys, parameter, values, message
+    ):
+        config = self.write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = cli.main(
+            [
+                "sweep",
+                "--config", str(config),
+                "--parameter", parameter,
+                "--values", values,
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 1
+        # a value the schema rejects is named by the parameter and its place
+        named = "" if message.startswith("--values") else f"sweep {parameter}, value 2: "
+        assert capsys.readouterr().err == f"config error: {named}{message}\n"
+        assert not out.exists()
+
+    def test_sweep_reports_values_as_parsed(self, tmp_path, capsys):
+        # a whole JSON number in any spelling is an n_agents; loss is a float
+        config = self.write_config(tmp_path)
+        for parameter, values, expected in (("n_agents", "3,1e0", [3, 1]), ("loss", "0", [0.0])):
+            code = cli.main(
+                [
+                    "sweep",
+                    "--config", str(config),
+                    "--parameter", parameter,
+                    "--values", values,
+                    "--out-dir", str(tmp_path / parameter),
+                ]
+            )
+            assert code == 0
+            rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            assert [row["value"] for row in rows] == expected
+            assert [type(v) for v in expected] == [type(row["value"]) for row in rows]
 
     def test_metrics_rejects_empty_member_id(self, tmp_path, capsys):
         truth = tmp_path / "truth.csv"

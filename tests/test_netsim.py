@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from socsim import messages as messages_module
 from socsim import netsim
 from socsim.harness import run
+from socsim.mobility import TraceFrame
 from socsim.messages import (
     HeadMsg,
     MemberMsg,
@@ -34,12 +35,14 @@ from socsim.netsim import (
     audit_message_bound,
 )
 from socsim.opinions import Opinion, format_opinion
+from socsim.percept import PerceptConfig, observe_block
 from socsim.protocol import Agent, AgentKind, ProtocolConfig, Role
 
-from conftest import counted, opinions
+from conftest import counted, opinions, random_periods, range_table
 from test_golden import CASES
 
 STRONG = Opinion(0.9, 0.05, 0.05, 0.2)
+RNG = np.random.default_rng(0)
 
 
 def make_world(ids, coords, **proto_kwargs):
@@ -68,7 +71,7 @@ class TestDelivery:
     def test_in_range_broadcast_delivered(self):
         _, agents, positions = make_world([1, 2], {1: (0.0, 0.0), 2: (5.0, 0.0)})
         net = Network(NetConfig(comm_range=25.0))
-        net.step(0.0, positions, agents)
+        net.step(0.0, range_table(positions, agents, net.config.comm_range), agents)
         head_entries = [e for e in net.log.entries if isinstance(e.message, HeadMsg)]
         assert head_entries
         assert all(e.delivered_to for e in head_entries)
@@ -77,19 +80,19 @@ class TestDelivery:
         _, agents, positions = make_world([1, 2], {1: (0.0, 0.0), 2: (30.0, 0.0)})
         net = Network(NetConfig(comm_range=25.0))
         for k in range(3):
-            net.step(float(k), positions, agents)
+            net.step(float(k), range_table(positions, agents, net.config.comm_range), agents)
         assert all(e.delivered_to == () for e in net.log.entries)
 
     def test_latency_delays_delivery(self):
         _, agents, positions = make_world([1, 2], {1: (0.0, 0.0), 2: (5.0, 0.0)})
         net = Network(NetConfig(latency=1))
         feed_mutual_percept(agents, positions, 0.0)
-        net.step(0.0, positions, agents)
+        net.step(0.0, range_table(positions, agents, net.config.comm_range), agents)
         # requests are sent but the responses only arrive a step later
         assert all(a.role is Role.CLUSTER_HEAD for a in agents.values())
         feed_mutual_percept(agents, positions, 1.0)
-        net.step(1.0, positions, agents)
-        net.step(2.0, positions, agents)
+        net.step(1.0, range_table(positions, agents, net.config.comm_range), agents)
+        net.step(2.0, range_table(positions, agents, net.config.comm_range), agents)
         roles = sorted(a.role.value for a in agents.values())
         assert roles == ["cluster_head", "member"]
 
@@ -99,7 +102,8 @@ class TestDelivery:
             net = Network(NetConfig(loss_probability=0.3), seed=4)
             for k in range(4):
                 feed_mutual_percept(agents, positions, float(k))
-                net.step(float(k), {**positions, **stray}, agents)
+                in_range = range_table({**positions, **stray}, agents, net.config.comm_range)
+                net.step(float(k), in_range, agents)
             return net.log
 
         log = run({3: (2.0, 0.0)})
@@ -110,11 +114,38 @@ class TestDelivery:
     def test_removed_agent_drops_pending_messages(self):
         _, agents, positions = make_world([1, 2], {1: (0.0, 0.0), 2: (5.0, 0.0)})
         net = Network(NetConfig(latency=2))
-        net.step(0.0, positions, agents)
+        net.step(0.0, range_table(positions, agents, net.config.comm_range), agents)
         del agents[2]
         positions.pop(2)
-        net.step(1.0, positions, agents)
-        net.step(2.0, positions, agents)  # queued deliveries to 2 are skipped
+        net.step(1.0, range_table(positions, agents, net.config.comm_range), agents)
+        in_range = range_table(positions, agents, net.config.comm_range)
+        net.step(2.0, in_range, agents)  # queued deliveries to 2 are skipped
+
+
+class TestRangeTable:
+    """The percept's block pass builds the range table ``Network.step`` takes;
+    ``conftest.range_table`` is the reference."""
+
+    @pytest.mark.parametrize("comm_range", [0.5, 5.0, 10.0, 25.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_pass_matches_reference(self, seed, comm_range):
+        rng = np.random.default_rng(seed)
+        frames, observers = random_periods(rng, 12)
+        cfg = PerceptConfig(observation_radius=min(comm_range, 10.0))
+        block = observe_block(frames, observers, cfg, rng, comm_range=comm_range)
+        for frame, agents, (_, table) in zip(frames, observers, block):
+            # the positions of agentless ids are strays: not agents
+            positions = dict(zip(frame.ids, map(tuple, frame.pos.tolist())))
+            assert table == range_table(positions, set(agents), comm_range)
+            assert list(table) == agents
+
+    def test_range_is_inclusive(self):
+        # 3-4-5 triangles: a squared distance of exactly comm_range ** 2 is in range
+        frame = TraceFrame(
+            0.0, (3, 1, 2), np.array([[6.0, 8.0], [0.0, 0.0], [3.0, 4.0]]), np.zeros(3)
+        )
+        [(_, table)] = observe_block([frame], [[1, 2, 3]], PerceptConfig(), RNG, comm_range=5.0)
+        assert table == {1: (2,), 2: (1, 3), 3: (2,)}
 
 
 class TestRequestRounds:
@@ -125,7 +156,7 @@ class TestRequestRounds:
         agents[1].get_candidate = rounds.append
         net = Network(NetConfig())
         for k in range(101):
-            net.step(k * 0.1, positions, agents)
+            net.step(k * 0.1, range_table(positions, agents, net.config.comm_range), agents)
         assert len(rounds) == 101
 
 
@@ -137,7 +168,7 @@ class TestDeterminism:
         net = Network(NetConfig(loss_probability=0.5), seed=seed)
         for k in range(10):
             feed_mutual_percept(agents, positions, float(k))
-            net.step(float(k), positions, agents)
+            net.step(float(k), range_table(positions, agents, net.config.comm_range), agents)
         return [e.wire_line() for e in net.log.entries]
 
     def test_same_seed_identical_log(self):
@@ -152,7 +183,7 @@ class TestMessageBound:
         _, agents, positions = make_world([1], {1: (0.0, 0.0)})
         net = Network(NetConfig())
         for k in range(6):
-            net.step(float(k), positions, agents)
+            net.step(float(k), range_table(positions, agents, net.config.comm_range), agents)
         report = audit_message_bound(net.log, window=6)
         assert report.ok
         emitted = [e for e in net.log.entries if e.sender == 1]
@@ -175,7 +206,7 @@ class TestMessageBound:
             net = Network(NetConfig(), seed=trial)
             for k in range(30):
                 feed_mutual_percept(agents, positions, float(k))
-                net.step(float(k), positions, agents)
+                net.step(float(k), range_table(positions, agents, net.config.comm_range), agents)
             for window in (1, 5, 30):
                 report = audit_message_bound(net.log, window=window)
                 assert report.ok, report.violations
@@ -190,7 +221,7 @@ class TestScheduler:
             )
             net = Network(NetConfig(), scheduler=scheduler)
             feed_mutual_percept(agents, positions, 0.0)
-            net.step(0.0, positions, agents)
+            net.step(0.0, range_table(positions, agents, net.config.comm_range), agents)
             logs.append([e.wire_line() for e in net.log.entries])
             heads = [a for a in agents.values() if a.role is Role.CLUSTER_HEAD]
             assert len(heads) == 1
@@ -210,7 +241,7 @@ class TestScheduler:
         net = Network(NetConfig(loss_probability=0.3, latency=1), seed=3, scheduler=last)
         for k in range(6):
             feed_mutual_percept(agents, positions, float(k))
-            net.step(float(k), positions, agents)
+            net.step(float(k), range_table(positions, agents, net.config.comm_range), agents)
             if k == 2:
                 net.inject(float(k), 1, [(HeadMsg(3, frozenset({1, 3}), frozenset({1, 3})), None)])
         digest = hashlib.sha256("\n".join(views).encode()).hexdigest()
@@ -232,7 +263,7 @@ class TestScheduler:
             net = Network(NetConfig(loss_probability=0.3), seed=3, scheduler=scheduler)
             for k in range(6):
                 feed_mutual_percept(agents, positions, float(k))
-                net.step(float(k), positions, agents)
+                net.step(float(k), range_table(positions, agents, net.config.comm_range), agents)
             return handled, net.log.entries
 
         fifo = run(None)
@@ -252,7 +283,7 @@ def run_triad(steps=12, **proto_kwargs):
     net = Network(NetConfig())
     for k in range(steps):
         feed_mutual_percept(agents, positions, float(k))
-        net.step(float(k), positions, agents)
+        net.step(float(k), range_table(positions, agents, net.config.comm_range), agents)
     return agents, net
 
 
@@ -319,12 +350,13 @@ class TestWrite:
         assert (tmp_path / "messages.log").read_bytes() == body
 
     def test_gzip_log_is_one_shot_compression(self, tmp_path):
+        # written chunk by chunk, the raw .gz bytes are those of one call on the body
         log, body = self.big_log()
         log.write(tmp_path / "messages.log.gz")
         expected = tmp_path / "expected.gz"
         with open(expected, "wb") as raw:
             with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as fh:
-                fh.write(body)
+                fh.write(log.body())
         assert (tmp_path / "messages.log.gz").read_bytes() == expected.read_bytes()
 
     def test_plain_write_streams(self, tmp_path):
@@ -337,6 +369,20 @@ class TestWrite:
         finally:
             tracemalloc.stop()
         assert peak < (tmp_path / "messages.log").stat().st_size
+
+    def test_gzip_write_streams(self, tmp_path):
+        # the chunks go to the compressor one at a time, never joined: the
+        # peak is the compressor's state and one chunk, below the body's size
+        log, body = self.big_log()
+        tracemalloc.start()
+        try:
+            log.write(tmp_path / "messages.log.gz")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(body)
+        with gzip.open(tmp_path / "messages.log.gz", "rb") as fh:
+            assert fh.read() == body
 
     def test_memoised_encoding_is_the_wire_lines(self, tmp_path, monkeypatch):
         members = frozenset({1, 2})
@@ -421,8 +467,9 @@ class TestChunks:
         assert entries[0].wire_line() == appended[0].wire_line()
         assert [e.wire_line() for e in entries] == [e.wire_line() for e in appended]
 
-    def test_equal_runs_compare_equal(self):
-        first, second = (run(CASES["short_period_handover"]()).network.log for _ in range(2))
+    def test_equal_runs_compare_equal(self, tmp_path):
+        case = CASES["short_period_handover"]
+        first, second = (run(case(tmp_path)).network.log for _ in range(2))
         assert len(first.chunks) > 1 and first == second
         second.append(0, 0.0, RequestMsg(1, frozenset({1, 2})), 1, 2, (2,))
         assert first != second
@@ -464,7 +511,7 @@ def scheduled_log() -> DeliveryLog:
     )
     for k in range(8):
         feed_mutual_percept(agents, positions, float(k))
-        net.step(float(k), positions, agents)
+        net.step(float(k), range_table(positions, agents, net.config.comm_range), agents)
         if k == 2:
             net.inject(float(k), 1, [(HeadMsg(3, frozenset({1, 3}), frozenset({1, 3})), None)])
     return net.log
@@ -475,9 +522,9 @@ class TestLogOracle:
     what each emission sent."""
 
     @pytest.mark.parametrize("name", sorted(CASES) + ["scheduler"])
-    def test_log_reads_back_every_emission(self, name, monkeypatch):
+    def test_log_reads_back_every_emission(self, name, monkeypatch, tmp_path):
         captured = capture_appends(monkeypatch)
-        log = scheduled_log() if name == "scheduler" else run(CASES[name]()).network.log
+        log = scheduled_log() if name == "scheduler" else run(CASES[name](tmp_path)).network.log
         assert captured and len(log.entries) == len(captured)
         for decoded, sent in zip(log.entries, captured):
             for field in LogEntry._fields:
@@ -491,14 +538,14 @@ class TestLogOracle:
             assert audit_message_bound(log, window) == expected
         assert expected.windows_checked > 0
 
-    def test_log_keeps_no_member_message(self, monkeypatch):
+    def test_log_keeps_no_member_message(self, monkeypatch, tmp_path):
         # what receivers evict is freed: nothing of a member message stays
         # reachable from the log, neither the message nor its opinion dict;
         # a receiver tuple is held only by the open chunk's side records
         captured = capture_appends(monkeypatch)
         # small chunks, so that the run seals several
         monkeypatch.setattr(DeliveryLog, "CHUNK_BYTES", 4096)
-        log = run(CASES["quick"]()).network.log
+        log = run(CASES["quick"](tmp_path)).network.log
         indices = {id(e.message.opinions) for e in captured if isinstance(e.message, MemberMsg)}
         receivers = {id(e.delivered_to) for e in captured if e.delivered_to}
         assert indices and log.chunks and log.records

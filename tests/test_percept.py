@@ -15,8 +15,11 @@ from socsim.percept import (
     fit_gmm,
     neighbors_within,
     observe,
+    observe_block,
     observe_period,
 )
+
+from conftest import random_periods
 
 
 def frame_of(agents):
@@ -227,6 +230,67 @@ class TestObservePeriod:
     def test_absent_observer_rejected(self):
         with pytest.raises(ValueError):
             observe_period(facing_pair(1.0), [1, 99], PerceptConfig(), RNG)
+
+
+class TestObserveBlock:
+    @staticmethod
+    def drawn(seed):
+        rng = np.random.default_rng(seed)
+        return random_periods(rng, int(rng.integers(1, 12)))
+
+    @pytest.mark.parametrize("sigma_pos,sigma_angle", NOISE)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_block_equals_one_period_calls(self, seed, sigma_pos, sigma_angle):
+        frames, observers = self.drawn(seed)
+        cfg = PerceptConfig(
+            observation_radius=5.0, noise_sigma_pos=sigma_pos, noise_sigma_angle=sigma_angle
+        )
+        threshold, u_min = (0.5, 0.0) if seed % 2 else (0.3, 0.2)
+        block_rng = np.random.default_rng(seed + 100)
+        block = observe_block(frames, observers, cfg, block_rng, threshold, u_min, 7.0)
+        period_rng = np.random.default_rng(seed + 100)
+        assert len(block) == len(frames)
+        for frame, period_observers, (percept, _) in zip(frames, observers, block):
+            single = observe_period(frame, period_observers, cfg, period_rng, threshold, u_min)
+            assert list(percept) == list(single) == period_observers
+            for o in period_observers:
+                index, neighbours, strong = percept[o]
+                one, one_neighbours, one_strong = single[o]
+                # the same pairs in the same order, and the same opinions
+                assert list(index.items()) == list(one.items())
+                assert neighbours == one_neighbours
+                assert strong == one_strong
+        # the block drew exactly the noise of the one-period calls
+        assert block_rng.bit_generator.state == period_rng.bit_generator.state
+
+    def test_drawn_periods_hold_the_edge_inputs(self):
+        # over the seeds above: id sets that change between frames, a low-id
+        # provider's column last, agentless columns, observers that see fewer
+        # than two individuals, and frames without observers
+        drawn = [self.drawn(seed) for seed in range(8)]
+        frames = [f for fs, _ in drawn for f in fs]
+        observers = [o for _, os in drawn for o in os]
+        assert len({f.ids for f in frames}) > len(frames) // 2
+        assert any(f.ids[-1] == 0 and len(f.ids) > 1 for f in frames)
+        assert any(set(f.ids) - set(o) for f, o in zip(frames, observers))
+        assert any(not o for o in observers)
+        percepts = observe_block(frames, observers, PerceptConfig(observation_radius=5.0), RNG)
+        assert any(len(i) == 0 for p, _ in percepts for i, _, _ in p.values())
+
+    def test_observer_rows_come_from_their_own_frame(self):
+        # the same ids at other places in the next frame
+        first = frame_of([(1, 0.0, 0.0, 0.0), (2, 1.0, 0.0, math.pi)])
+        second = frame_of([(2, 40.0, 0.0, 0.0), (1, 0.0, 0.0, 0.0)])
+        (near, near_range), (far, far_range) = observe_block(
+            [first, second], [[1, 2], [1, 2]], PerceptConfig(), RNG, comm_range=25.0
+        )
+        assert near[1][1] == [(2, 1.0)] and near_range == {1: (2,), 2: (1,)}
+        assert far[1][1] == [] and far_range == {1: (), 2: ()}
+        assert len(near[1][0]) == 1 and len(far[1][0]) == 0
+
+    def test_absent_observer_rejected_in_any_period(self):
+        with pytest.raises(ValueError, match="observer 3 not present in frame at t=0.0"):
+            observe_block([facing_pair(1.0)] * 2, [[1, 2], [1, 3]], PerceptConfig(), RNG)
 
 
 class TestObservedIndex:

@@ -34,7 +34,7 @@ from socsim.protocol import (
     resolve_conflict,
 )
 
-from conftest import opinions
+from conftest import opinions, range_table
 
 STRONG = Opinion(0.9, 0.05, 0.05, 0.2)
 WEAK = Opinion(0.05, 0.9, 0.05, 0.2)
@@ -883,7 +883,7 @@ class TestSenderIndexedStore:
         member.head_id, member.members = 2, {1, 2}
         seed_neighbor(member, 2)
         net = Network(NetConfig())
-        net.step(0.0, positions, agents)
+        net.step(0.0, range_table(positions, agents, net.config.comm_range), agents)
         [entry] = [e for e in net.log.entries if isinstance(e.message, MemberMsg)]
         assert entry.delivered_to == (2, 3, 4)
         # the log decodes its entries, so the receivers are checked against each other
@@ -914,7 +914,7 @@ class TestLazyOwnReports:
                 neighbours = [(n, AgentKind.HUMAN_LINKED, d) for n, d in near]
                 agents[aid].apply_percept(index, neighbours, now, StrongPairs(0.5, 0.0, strong))
             lone.append(observed[3][0])
-            net.step(now, positions, agents)
+            net.step(now, range_table(positions, agents, net.config.comm_range), agents)
         assert agents[1].members == agents[2].members == {1, 2}
         assert agents[3].members == {3} and agents[3].head_id == 3
         assert observed[3][2] == ((1, 2),)
