@@ -867,16 +867,20 @@ def sweep(
 
 
 def _apply_parameter(base: Scenario, parameter: str, value) -> Scenario:
+    """``base`` with ``value`` in the field ``SWEPT_FIELDS[parameter]``: each
+    section on the field's path is replaced, so the field's own section checks
+    the value."""
+    field_path = SWEPT_FIELDS[parameter]
+    top, *path, name = field_path.split(".")
+    sections = [getattr(base, top)]
+    for step in path:
+        if not hasattr(sections[-1], step):
+            raise ValueError(f"sweeping {parameter} needs a config with {field_path}")
+        sections.append(getattr(sections[-1], step))
+    for section, step in zip(reversed(sections), reversed([*path, name])):
+        value = dataclasses.replace(section, **{step: value})
     scenario = dataclasses.replace(base)
-    if parameter in ("moving_group_ratio", "n_agents"):
-        if not isinstance(base.source, SyntheticSource):
-            raise ValueError(f"sweeping {parameter} requires a synthetic source")
-        mob = dataclasses.replace(base.source.mobility, **{parameter: value})
-        scenario.source = SyntheticSource(mob)
-    elif parameter == "loss":
-        scenario.net = dataclasses.replace(base.net, loss_probability=value)
-    elif parameter == "noise":
-        scenario.percept = dataclasses.replace(base.percept, noise_sigma_pos=value)
+    setattr(scenario, top, value)
     return scenario
 
 

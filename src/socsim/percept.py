@@ -195,7 +195,7 @@ def observe_block(
     rng: np.random.Generator,
     request_threshold: float = 0.5,
     u_min: float = 0.0,
-    comm_range: float = math.inf,
+    comm_range: float | None = None,
 ) -> list[tuple[Percept, RangeTable]]:
     """The percept and the range table of consecutive periods in one
     vectorised pass, ``observers[p]`` the observers of ``frames[p]``.
@@ -217,7 +217,8 @@ def observe_block(
     The range table maps each observer to the ascending ids of the other
     observers of its period within ``comm_range`` (``dx * dx + dy * dy <=
     comm_range ** 2``): the observers are a period's agents, and only agents
-    receive messages."""
+    receive messages. Without a ``comm_range`` no range is computed and no
+    observer has another in range."""
     e = _visibility(frames, observers, config.observation_radius)
     n_rows = len(e.obs_col)
     visible = np.bincount(e.row[e.within], minlength=n_rows)
@@ -264,16 +265,7 @@ def observe_block(
     strong_pairs = tuple(zip(compress(lo, mask), compress(hi, mask)))
     strong_lists = _split(strong_pairs, pair_rows[strong], n_rows)
     neighbours = _neighbour_lists(e)
-    is_agent = np.zeros(len(e.ids), dtype=bool)
-    is_agent[e.obs_col] = True
-    in_range = (e.dx * e.dx + e.dy * e.dy <= comm_range**2) & is_agent[e.col] & e.other
-    in_range = np.flatnonzero(in_range)
-    receiver_rows, receiver_ids = e.row[in_range], e.ids[e.col[in_range]]
-    if any(list(frame.ids) != sorted(frame.ids) for frame in frames):
-        # receivers ascend by id, but a frame's columns need not: an opinion
-        # provider's comes last whatever its id
-        receiver_ids = receiver_ids[np.lexsort((receiver_ids, receiver_rows))]
-    receivers = _split(tuple(receiver_ids.tolist()), receiver_rows, n_rows)
+    receivers = [()] * n_rows if comm_range is None else _receivers(e, comm_range)
     ends = np.cumsum(np.bincount(pair_rows, minlength=n_rows)).tolist()
     seen_ids = seen.tolist()
     seen_ends = np.cumsum(per_row).tolist()
@@ -354,6 +346,20 @@ def _visibility(
     dy = y[col] - y[own]
     dist = np.hypot(dx, dy)
     return _Entries(ids, pos, angle, obs_col, row, col, col != own, dx, dy, dist, dist <= radius)
+
+
+def _receivers(e: _Entries, comm_range: float) -> list[tuple[int, ...]]:
+    """Each row's ascending ids of the other observers of its frame within
+    ``comm_range``."""
+    is_agent = np.zeros(len(e.ids), dtype=bool)
+    is_agent[e.obs_col] = True
+    in_range = (e.dx * e.dx + e.dy * e.dy <= comm_range**2) & is_agent[e.col] & e.other
+    in_range = np.flatnonzero(in_range)
+    rows, ids = e.row[in_range], e.ids[e.col[in_range]]
+    # a frame's columns need not ascend by id: an opinion provider's comes
+    # last whatever its id
+    ids = ids[np.lexsort((ids, rows))]
+    return _split(tuple(ids.tolist()), rows, len(e.obs_col))
 
 
 def _split(flat: Sequence, rows: np.ndarray, n_rows: int) -> list:

@@ -843,6 +843,23 @@ class TestSweep:
         rows = sweep(replay, "loss", [0.0, 0.3])
         assert len(rows) == 2
 
+    @pytest.mark.parametrize(
+        "parameter,value",
+        [("moving_group_ratio", 0.25), ("n_agents", 7), ("loss", 0.125), ("noise", 0.3)],
+    )
+    def test_parameter_sets_its_swept_field(self, parameter, value):
+        assert set(harness.SWEPT_FIELDS) == set(harness.SWEEPABLE)
+        base = synthetic_scenario()
+        scenario = harness._apply_parameter(base, parameter, value)
+        *path, name = harness.SWEPT_FIELDS[parameter].split(".")
+        section, base_section = scenario, base
+        for step in path:
+            section, base_section = getattr(section, step), getattr(base_section, step)
+        assert getattr(section, name) == value
+        # nothing else changes, and the base is left as it was
+        assert dataclasses.replace(section, **{name: getattr(base_section, name)}) == base_section
+        assert getattr(base_section, name) != value
+
     def test_mobility_sweep_on_replay_rejected(self, tmp_path):
         scenario = synthetic_scenario(duration=10.0)
         run(scenario, tmp_path / "syn")

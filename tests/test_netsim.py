@@ -356,8 +356,9 @@ class TestWrite:
         expected = tmp_path / "expected.gz"
         with open(expected, "wb") as raw:
             with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as fh:
-                fh.write(log.body())
+                fh.write(body)
         assert (tmp_path / "messages.log.gz").read_bytes() == expected.read_bytes()
+        assert log.body() == body
 
     def test_plain_write_streams(self, tmp_path):
         log, body = self.big_log()
