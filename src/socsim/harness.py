@@ -3,12 +3,13 @@
 A scenario bundles a trace source (synthetic mobility or replayed CSV
 files) with protocol, network and percept parameters. ``run`` drives the
 full pipeline trace -> percept -> network+protocol -> metrics and writes
-plot-ready CSV outputs; ``sweep`` repeats it over one swept parameter
-with derived seeds. Everything is deterministic per (scenario, seed).
+plot-ready CSV outputs as it goes; ``sweep`` repeats it over one swept
+parameter with derived seeds. Everything is deterministic per (scenario, seed).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -16,18 +17,22 @@ import json
 import logging
 import math
 from array import array
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import mobility, percept
+from .files import TRACE_HEADER, TRUTH_HEADER, Outputs, atomic_write, table_writer
+# perfbench and the CLI write traces, truth and metrics through these names
+from .files import write_ground_truth, write_metrics, write_trace  # noqa: F401
 from .metrics import Partition, scores, series_summary
 # perfbench wraps these names on this module in traced runs, so they stay importable here
 from .metrics import adjusted_rand_index, jaccard_index, pair_counts, rand_index  # noqa: F401
 from .mobility import GroundTruth, MobilityConfig, TraceFrame
-from .netsim import NetConfig, Network, warn_if_range_below_social
+from .netsim import DeliveryLog, NetConfig, Network, warn_if_range_below_social
 from .opinions import BASE_RATE_TOL
 from .percept import PerceptConfig
 from .protocol import PERIOD_TOL, Agent, AgentKind, ProtocolConfig, Role, StrongPairs
@@ -107,12 +112,8 @@ class MetricsRow:
 @dataclass
 class RunResult:
     scenario: Scenario
-    metrics_rows: list[MetricsRow]
-    partitions: list[tuple[float, Partition]]
     network: Network
     summary: dict
-    # per sample: live agent id -> (role, head id); protocol observability
-    role_samples: list[tuple[float, dict[int, tuple[Role, int]]]] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -180,10 +181,6 @@ def load_scenario(path: Path) -> Scenario:
 
 # ----------------------------------------------------------------------
 # trace ingestion / writing
-
-TRACE_HEADER = "time,agent_id,x,y,shoulder_angle"
-TRUTH_HEADER = "time,situation_id,member_ids"
-
 
 def ingest_trace(
     path: Path, ground_truth: Optional[Path] = None, scored: Optional[Iterable[int]] = None
@@ -421,43 +418,21 @@ def _align_truth(
     return truth
 
 
-def write_trace(path: Path, frames: Sequence[TraceFrame]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for frame in frames:
-            t = repr(frame.time)
-            fh.writelines(
-                f"{t},{aid},{x!r},{y!r},{angle!r}\n"
-                for aid, (x, y), angle in zip(frame.ids, frame.pos.tolist(), frame.angle.tolist())
-            )
-
-
-def write_ground_truth(path: Path, frames: Sequence[TraceFrame], truth: GroundTruth) -> None:
-    _write_situations(path, ((frame.time, blocks) for frame, blocks in zip(frames, truth)))
-
-
-def _write_situations(
-    path: Path, samples: Iterable[tuple[float, Iterable[frozenset[int]]]]
-) -> None:
-    """Write (time, situations) samples in the format ``read_situations`` reads."""
-    texts: dict[frozenset[int], str] = {}  # each distinct block is formatted once
-    with _atomic_write(path) as fh:
-        fh.write(TRUTH_HEADER + "\n")
-        for t, blocks in samples:
-            for sid, block in enumerate(blocks):
-                members = texts.get(block)
-                if members is None:
-                    members = texts[block] = ";".join(str(m) for m in sorted(block))
-                fh.write(f"{t!r},{sid},{members}\n")
-
-
 # ----------------------------------------------------------------------
 # simulation driver
 
 
 def run(scenario: Scenario, out_dir: Optional[Path] = None, fmt: str = "csv") -> RunResult:
     """Execute one scenario end to end; optionally write result files,
-    with the metrics table as ``fmt`` ("csv" or "jsonl"). The cyclic garbage
+    with the metrics table as ``fmt`` ("csv" or "jsonl").
+
+    The files are written as the run goes, each to a temp file beside it,
+    and renamed into place when the run succeeds: a synthetic trace and its
+    ground truth a step at a time, the partitions and metrics a sample at a
+    time, the log and ``summary.json`` at the end. A run that raises leaves
+    ``out_dir`` as it was. The result holds only the scenario, the network
+    (with its delivery log) and the summary; a synthetic trace is generated
+    as the run reads it, and no frame or sample is kept. The cyclic garbage
     collector is suspended for the run, which forms no reference cycles, and
     the caller's setting restored."""
     enabled = gc.isenabled()
@@ -470,10 +445,14 @@ def run(scenario: Scenario, out_dir: Optional[Path] = None, fmt: str = "csv") ->
 
 
 def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
-    frames, truth = _load_source(scenario)
+    replay = None
+    if isinstance(scenario.source, ReplaySource):
+        replay = _load_replay(scenario)
+        trace_ids = set().union(*(frame.ids for frame in replay[0]))
+    else:
+        trace_ids = set(range(scenario.source.mobility.n_agents))
     warn_if_range_below_social(scenario.net, scenario.protocol.social_distance)
 
-    trace_ids = set().union(*(frame.ids for frame in frames))
     providers = sorted(scenario.opinion_providers)
     overlap = {p[0] for p in providers} & trace_ids
     if overlap:
@@ -498,7 +477,7 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
 
     period = scenario.protocol.period
     strong_at = (scenario.protocol.request_threshold, scenario.protocol.u_min)
-    steps_per_period, _, sample_every = _schedule(scenario)
+    sample_every = _schedule(scenario)[2]
 
     # period index -> departing agents; a removal at t takes effect at the
     # first period k with k * period >= t - PERIOD_TOL, the protocol's rounding rule
@@ -512,110 +491,166 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
         removed.add(aid)
         departures.setdefault(max(0, math.ceil((t - PERIOD_TOL) / period)), []).append(aid)
 
-    metrics_rows: list[MetricsRow] = []
-    scored = None  # the (truth, universe, partition) that the last row scores
-    partitions: list[tuple[float, Partition]] = []
-    role_samples: list[tuple[float, dict[int, tuple[Role, int]]]] = []
-    # one object per distinct block, partition and (role, head) pair of the run
-    shared: dict = {}
+    with contextlib.ExitStack() as stack:
+        out_path = None if out_dir is None else Path(out_dir)
+        outputs = Outputs(stack, out_path, fmt, replay is None)
+        if replay is None:
+            periods = _synthetic_periods(scenario, outputs.frame)
+        else:
+            periods = _replay_periods(scenario, *replay)
+        sampler = _Sampler(scenario.protocol, network, outputs)
+        percepts = _percepts(scenario, periods, providers, sorted(agents), departures, percept_rng)
+        for k, (frame, truth, observed, in_range) in enumerate(percepts):
+            now = k * period
 
-    percepts = _percepts(scenario, frames, providers, sorted(agents), departures, percept_rng)
-    for k, (observed, in_range) in enumerate(percepts):
-        now = k * period
-        frame_idx = k * steps_per_period
+            for departing in departures.get(k, ()):
+                agent = agents.pop(departing)
+                if agent.role is Role.CLUSTER_HEAD and len(agent.members) > 1:
+                    network.inject(now, departing, agent.handover_head(now))
 
-        for departing in departures.get(k, ()):
-            agent = agents.pop(departing)
-            if agent.role is Role.CLUSTER_HEAD and len(agent.members) > 1:
-                network.inject(now, departing, agent.handover_head(now))
+            for aid, (index, neighbours, strong) in observed.items():
+                neighbor_list = tuple((nid, kind_map[nid], dist) for nid, dist in neighbours)
+                agents[aid].apply_percept(index, neighbor_list, now, StrongPairs(*strong_at, strong))
 
-        for aid, (index, neighbours, strong) in observed.items():
-            neighbor_list = tuple((nid, kind_map[nid], dist) for nid, dist in neighbours)
-            agents[aid].apply_percept(index, neighbor_list, now, StrongPairs(*strong_at, strong))
+            network.step(now, in_range, agents)
 
-        network.step(now, in_range, agents)
+            if k % sample_every == 0:
+                sampler.take(now, agents, frozenset(frame.ids), truth)
 
-        if k % sample_every == 0:
-            universe = frozenset(frames[frame_idx].ids)
-            protocol_partition = extract_partition(
-                agents, network, universe, scenario.protocol, shared
-            )
-            partitions.append((now, protocol_partition))
-            inputs = (None if truth is None else truth[frame_idx], universe, protocol_partition)
-            if inputs == scored:
-                metrics_rows.append(replace(metrics_rows[-1], time=now))
-            else:
-                truth_partition = (
-                    None if truth is None else Partition(truth[frame_idx]).restricted(universe)
-                )
-                metrics_rows.append(_score(now, truth_partition, protocol_partition))
-                scored = inputs
-            roles = {}
-            for aid, agent in sorted(agents.items()):
-                pair = (agent.role, agent.head_id)
-                roles[aid] = shared.setdefault(pair, pair)
-            # a sample equal to the previous one keeps its object
-            if role_samples and role_samples[-1][1] == roles:
-                roles = role_samples[-1][1]
-            role_samples.append((now, roles))
+        summary = {"seed": scenario.seed, **sampler.summary.result()}
+        if out_dir is not None:
+            _write_outputs(outputs, network.log, summary, scenario.gzip_log)
+    return RunResult(scenario, network, summary)
 
-    summary = {"seed": scenario.seed, **_summarize(metrics_rows)}
-    result = RunResult(scenario, metrics_rows, partitions, network, summary, role_samples)
-    if out_dir is not None:
-        _write_outputs(result, frames, truth, Path(out_dir), fmt)
-    return result
+
+class _Sampler:
+    """Takes a run's samples. A sample's protocol partition is scored
+    against its truth and goes with its metrics row to the outputs and
+    the summary; nothing else of it is kept."""
+
+    def __init__(self, config: ProtocolConfig, network: Network, outputs: Outputs) -> None:
+        self.config = config
+        self.network = network
+        self.outputs = outputs
+        self.summary = _Summary()
+        # one object per distinct block and partition of the run
+        self.shared: dict = {}
+        # the (truth, universe, partition) that the last row scores, and that row
+        self.scored: Optional[tuple] = None
+        self.row: Optional[MetricsRow] = None
+
+    def take(
+        self,
+        now: float,
+        agents: dict[int, Agent],
+        universe: frozenset[int],
+        truth: Optional[tuple[frozenset[int], ...]],
+    ) -> tuple[Partition, MetricsRow]:
+        """The sample at ``now``, of the live ``agents`` over the ids of the
+        period's frame, scored against that frame's ground truth, if any.
+        Returns its partition and metrics row."""
+        partition = extract_partition(agents, self.network, universe, self.config, self.shared)
+        inputs = (truth, universe, partition)
+        if inputs == self.scored:
+            row = replace(self.row, time=now)
+        else:
+            truth_partition = None if truth is None else Partition(truth).restricted(universe)
+            row = _score(now, truth_partition, partition)
+            self.scored = inputs
+        self.row = row
+        self.summary.add(row)
+        self.outputs.sample(now, partition.blocks, row)
+        return partition, row
 
 
 def _percepts(
     scenario: Scenario,
-    frames: Sequence[TraceFrame],
+    periods: Iterable[tuple[TraceFrame, Optional[tuple[frozenset[int], ...]]]],
     providers: list[tuple[int, float, float]],
     agents: list[int],
     departures: dict[int, list[int]],
     rng: np.random.Generator,
-) -> Iterator[tuple[percept.Percept, percept.RangeTable]]:
-    """Each period's percept and range table, in period order. A period's
-    observers are the ascending ``agents``, less the departures up to it,
-    that its frame holds. Periods are observed a block at a time
+) -> Iterator[tuple[TraceFrame, Optional[tuple], percept.Percept, percept.RangeTable]]:
+    """Each period's frame, truth, percept and range table, in period order,
+    from each period's frame and truth in ``periods``. A period's observers
+    are the ascending ``agents``, less the departures up to it, that its
+    frame holds. Periods are observed a block at a time
     (``percept.observe_block``), each block whole periods up to
-    ``percept.BLOCK_ENTRIES`` observer x individual entries, at least one."""
-    steps_per_period, n_periods, _ = _schedule(scenario)
+    ``percept.BLOCK_ENTRIES`` observer x individual entries, at least one;
+    only the periods of one block are held at a time."""
     strong_at = (scenario.protocol.request_threshold, scenario.protocol.u_min)
 
     def observe(block):
-        frames, observers = zip(*block)
-        return percept.observe_block(
-            frames, observers, scenario.percept, rng, *strong_at, scenario.net.comm_range
+        frames, truths, observed, observers = zip(*block)
+        results = percept.observe_block(
+            observed, observers, scenario.percept, rng, *strong_at, scenario.net.comm_range
         )
+        for frame, truth, (period_percept, in_range) in zip(frames, truths, results):
+            yield frame, truth, period_percept, in_range
 
     live = list(agents)
-    block: list[tuple[TraceFrame, list[int]]] = []
+    block: list[tuple] = []
     entries = 0
-    for k in range(n_periods + 1):
+    for k, (frame, truth) in enumerate(periods):
         for departing in departures.get(k, ()):
             live.remove(departing)
-        frame = _frame_with_providers(frames[k * steps_per_period], providers)
-        present = set(frame.ids)
+        observed = _frame_with_providers(frame, providers)
+        present = set(observed.ids)
         observers = [aid for aid in live if aid in present]
-        size = len(observers) * len(frame.ids)
+        size = len(observers) * len(observed.ids)
         if block and entries + size > percept.BLOCK_ENTRIES:
             yield from observe(block)
             block, entries = [], 0
-        block.append((frame, observers))
+        block.append((frame, truth, observed, observers))
         entries += size
     yield from observe(block)
 
 
-def _load_source(scenario: Scenario) -> tuple[list[TraceFrame], Optional[GroundTruth]]:
-    if isinstance(scenario.source, SyntheticSource):
-        # the run seed re-rolls the trace too, so sweeps with derived
-        # seeds get fresh group schedules while staying reproducible
-        mob = replace(
-            scenario.source.mobility, seed=scenario.source.mobility.seed ^ scenario.seed
-        )
-        return mobility.generate(mob, scenario.duration, scenario.dt)
+# Synthetic steps are generated, and written, this many at a time, so that
+# mobility runs in bursts between the protocol's periods. Interleaved step
+# by step, a paper-scale run spent a third more time in mobility than when
+# the whole trace was generated first; in bursts of 256 steps it spent the
+# same, while holding about a hundred frames.
+STEPS_AHEAD = 256
+
+
+def _synthetic_periods(
+    scenario: Scenario, write: Callable[[TraceFrame, tuple[frozenset[int], ...]], None]
+) -> Iterator[tuple[TraceFrame, tuple[frozenset[int], ...]]]:
+    """The synthetic trace's frame and truth at each period, generated as
+    they are read, ``STEPS_AHEAD`` steps at a time. Every step goes to
+    ``write`` as it is made, the steps after the last period too; only
+    the period frames of one burst are held until read."""
+    steps_per_period, n_periods, _ = _schedule(scenario)
+    last = n_periods * steps_per_period
+    # the run seed re-rolls the trace too, so sweeps with derived
+    # seeds get fresh group schedules while staying reproducible
+    mob = replace(scenario.source.mobility, seed=scenario.source.mobility.seed ^ scenario.seed)
+    ahead: deque[tuple[TraceFrame, tuple[frozenset[int], ...]]] = deque()
+    for step, (frame, truth) in enumerate(mobility.steps(mob, scenario.duration, scenario.dt)):
+        write(frame, truth)
+        if step % steps_per_period == 0 and step <= last:
+            ahead.append((frame, truth))
+        if step % STEPS_AHEAD == STEPS_AHEAD - 1:
+            while ahead:
+                yield ahead.popleft()
+    while ahead:
+        yield ahead.popleft()
+
+
+def _replay_periods(
+    scenario: Scenario, frames: list[TraceFrame], truth: Optional[GroundTruth]
+) -> Iterator[tuple[TraceFrame, Optional[tuple[frozenset[int], ...]]]]:
+    """The replayed trace's frame and truth at each period."""
+    steps_per_period, n_periods, _ = _schedule(scenario)
+    for k in range(n_periods + 1):
+        # the run reads frame k * steps_per_period at time k * period
+        i = k * steps_per_period
+        yield frames[i], None if truth is None else truth[i]
+
+
+def _load_replay(scenario: Scenario) -> tuple[list[TraceFrame], Optional[GroundTruth]]:
     steps_per_period, n_periods, sample_every = _schedule(scenario)
-    # the run reads frame k * steps_per_period at time k * period
     scored = range(0, n_periods * steps_per_period + 1, sample_every * steps_per_period)
     trace = scenario.source.trace
     frames, truth = ingest_trace(trace, scenario.source.ground_truth, scored)
@@ -720,105 +755,47 @@ def _score(time: float, truth: Optional[Partition], pred: Partition) -> MetricsR
     return MetricsRow(time, rand, ari, jaccard, truth.non_singleton_count(), n_protocol, n01)
 
 
-def _summarize(rows: Sequence[MetricsRow]) -> dict:
-    summary: dict = {"samples": len(rows)}
-    for name in ("rand", "ari", "jaccard"):
-        series = [getattr(r, name) for r in rows if getattr(r, name) is not None]
-        if series:
-            mean, std = series_summary(series)
-            summary[f"{name}_mean"] = mean
-            summary[f"{name}_std"] = std
-    fp = [r.fp_pairs for r in rows if r.fp_pairs is not None]
-    if fp:
-        summary["fp_pairs_total"] = int(sum(fp))
-    return summary
+class _Summary:
+    """The summary of metrics rows, taken as the rows are made: each score
+    series is kept as floats and the false-positive pairs as a total, so no
+    row need be kept and the summary is that of the same values in the same
+    order."""
 
+    def __init__(self) -> None:
+        self.samples = 0
+        self.series = {name: array("d") for name in ("rand", "ari", "jaccard")}
+        self.fp_pairs: Optional[int] = None
 
-# ----------------------------------------------------------------------
-# output files
+    def add(self, row: MetricsRow) -> None:
+        self.samples += 1
+        for name, series in self.series.items():
+            value = getattr(row, name)
+            if value is not None:
+                series.append(value)
+        if row.fp_pairs is not None:
+            self.fp_pairs = (self.fp_pairs or 0) + row.fp_pairs
 
-
-METRICS_HEADER = (
-    "time",
-    "rand",
-    "ari",
-    "jaccard",
-    "n_situations_truth",
-    "n_situations_protocol",
-    "false_positive_pairs",
-)
-
-
-def _format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    def result(self) -> dict:
+        summary: dict = {"samples": self.samples}
+        for name, series in self.series.items():
+            if series:
+                mean, std = series_summary(series)
+                summary[f"{name}_mean"] = mean
+                summary[f"{name}_std"] = std
+        if self.fp_pairs is not None:
+            summary["fp_pairs_total"] = self.fp_pairs
+        return summary
 
 
 # perfbench wraps this name in traced runs, as it does run, ingest_trace and extract_partition
-def _write_outputs(
-    result: RunResult,
-    frames: Sequence[TraceFrame],
-    truth: Optional[GroundTruth],
-    out_dir: Path,
-    fmt: str = "csv",
-) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    scenario = result.scenario
-    write_metrics(out_dir / f"metrics.{fmt}", result.metrics_rows, fmt)
-    _write_situations(out_dir / "partitions.csv", ((t, p.blocks) for t, p in result.partitions))
-
-    log_name = "messages.log.gz" if scenario.gzip_log else "messages.log"
-    result.network.log.write(out_dir / log_name)
-
-    if isinstance(scenario.source, SyntheticSource):
-        write_trace(out_dir / "trace.csv", frames)
-        if truth is not None:
-            write_ground_truth(out_dir / "ground_truth.csv", frames, truth)
-
-    with _atomic_write(out_dir / "summary.json") as fh:
-        json.dump(result.summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def write_metrics(path: Path, rows: Sequence[MetricsRow], fmt: str = "csv") -> None:
-    """Write metrics rows as a CSV table or as JSON lines."""
-    table = [(r.time, r.rand, r.ari, r.jaccard, r.n_truth, r.n_protocol, r.fp_pairs) for r in rows]
-    _write_table(path, METRICS_HEADER, table, fmt)
-
-
-def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> None:
-    with _atomic_write(path) as fh:
-        if fmt == "jsonl":
-            for row in rows:
-                fh.write(json.dumps(dict(zip(header, row)), sort_keys=True))
-                fh.write("\n")
-        else:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_value(v) for v in row) + "\n")
-
-
-class _atomic_write:
-    """Write to a temp file and rename into place on success."""
-
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self.tmp = self.path.with_name(self.path.name + ".tmp")
-
-    def __enter__(self):
-        self._fh = open(self.tmp, "w", encoding="utf-8")
-        return self._fh
-
-    def __exit__(self, exc_type, exc, tb):
-        self._fh.close()
-        if exc_type is None:
-            self.tmp.replace(self.path)
-        else:
-            self.tmp.unlink(missing_ok=True)
-        return False
+def _write_outputs(outputs: Outputs, log: DeliveryLog, summary: dict, gzip_log: bool) -> None:
+    """Write the files a run writes only at its end: ``summary.json`` and
+    the log. The log is renamed into place as it ends, the others when the
+    run's stack closes."""
+    fh = outputs.open("summary.json")
+    json.dump(summary, fh, sort_keys=True, indent=2)
+    fh.write("\n")
+    log.write(outputs.out_dir / ("messages.log.gz" if gzip_log else "messages.log"))
 
 
 # ----------------------------------------------------------------------
@@ -861,8 +838,10 @@ def sweep(
         rows.append(row)
     if out_dir is not None:
         header = sorted({k for row in rows for k in row})
-        table = [[row.get(k) for k in header] for row in rows]
-        _write_table(Path(out_dir) / f"sweep.{fmt}", header, table, fmt)
+        with atomic_write(Path(out_dir) / f"sweep.{fmt}") as fh:
+            write = table_writer(fh, header, fmt)
+            for row in rows:
+                write([row.get(k) for k in header])
     return rows
 
 
@@ -905,6 +884,7 @@ def compare_partition_files(
             path=predicted_path,
         )
     rows: list[MetricsRow] = []
+    summary = _Summary()
     scored = None  # the (truth, predicted) situations that the last row scores
     for t, i in zip(truth_times, nearest):
         inputs = (truth[t], predicted[pred_times[i]])
@@ -913,4 +893,5 @@ def compare_partition_files(
         else:
             rows.append(_score(t, Partition(inputs[0]), Partition(inputs[1])))
             scored = inputs
-    return rows, _summarize(rows)
+        summary.add(rows[-1])
+    return rows, summary.result()

@@ -36,10 +36,6 @@ class Partition:
         )
         self.universe: frozenset[int] = frozenset(seen)
 
-    @classmethod
-    def singletons(cls, universe: Iterable[int]) -> "Partition":
-        return cls([{a} for a in universe])
-
     def labels(self) -> dict[int, int]:
         return {agent: idx for idx, block in enumerate(self.blocks) for agent in block}
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -89,7 +90,22 @@ class _Group:
 
 def generate(config: MobilityConfig, duration: float, dt: float) -> tuple[list[TraceFrame], GroundTruth]:
     """Simulate ``duration`` seconds at step ``dt`` and return the frames
-    plus per-frame ground-truth partitions (singletons included)."""
+    plus per-frame ground-truth partitions (singletons included): every
+    step of ``steps``, in lists."""
+    frames: list[TraceFrame] = []
+    truth: GroundTruth = []
+    for frame, blocks in steps(config, duration, dt):
+        frames.append(frame)
+        truth.append(blocks)
+    return frames, truth
+
+
+def steps(
+    config: MobilityConfig, duration: float, dt: float
+) -> Iterator[tuple[TraceFrame, tuple[frozenset[int], ...]]]:
+    """Simulate ``duration`` seconds at step ``dt``, yielding each step's
+    frame and ground-truth partition (singletons included) as it is made.
+    A partition equal to the previous step's is that step's own object."""
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be positive")
     rng = np.random.default_rng(config.seed)
@@ -112,18 +128,17 @@ def generate(config: MobilityConfig, duration: float, dt: float) -> tuple[list[T
 
     groups: dict[int, _Group] = {}
     next_gid = 0
-    frames: list[TraceFrame] = []
-    truth: GroundTruth = []
+    previous_truth = None
     ids = tuple(range(n))
     # truth frames share their blocks: one singleton per agent, each group's
     # own member set, and the previous frame's tuple when nothing changed
     singletons = [frozenset((aid,)) for aid in ids]
     alpha = config.gauss_markov_alpha
     noise_gain = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    steps = int(round(duration / dt))
+    n_steps = int(round(duration / dt))
     speed_tick = max(1, int(round(1.0 / dt)))
 
-    for step in range(steps + 1):
+    for step in range(n_steps + 1):
         t = step * dt
 
         # group formation: Poisson over idle agents
@@ -231,7 +246,7 @@ def generate(config: MobilityConfig, duration: float, dt: float) -> tuple[list[T
             np.clip(pos[:, 1], 0, h, out=pos[:, 1])
 
         shoulder_stored = np.mod(shoulder, 2 * math.pi)
-        frames.append(TraceFrame(t, ids, pos.copy(), shoulder_stored.copy()))
+        frame = TraceFrame(t, ids, pos.copy(), shoulder_stored.copy())
         blocks: list[frozenset[int]] = []
         grouped: set[int] = set()
         for gid in sorted(groups):
@@ -241,9 +256,9 @@ def generate(config: MobilityConfig, duration: float, dt: float) -> tuple[list[T
                 grouped |= grp.members
         blocks.extend(singletons[aid] for aid in ids if aid not in grouped)
         frame_truth = tuple(blocks)
-        truth.append(truth[-1] if truth and truth[-1] == frame_truth else frame_truth)
-
-    return frames, truth
+        if frame_truth != previous_truth:
+            previous_truth = frame_truth
+        yield frame, previous_truth
 
 
 def force_step(members: np.ndarray, center: np.ndarray, config: MobilityConfig, dt: float) -> np.ndarray:
@@ -262,26 +277,3 @@ def force_step(members: np.ndarray, center: np.ndarray, config: MobilityConfig, 
         dt,
     )
 
-
-def equilibrium_pair_separation(config: MobilityConfig) -> float:
-    """Closed-form resting separation of a two-agent group: attraction
-    k_center * d/2 balances repulsion k_repel / d."""
-    return math.sqrt(2.0 * config.force_k_repel / config.force_k_center)
-
-
-def potential_energy(members: np.ndarray, center: np.ndarray, config: MobilityConfig) -> float:
-    """Potential matching the force law (directed two-nearest-neighbor
-    repulsion edges); used to check settling behaviour."""
-    pos = np.asarray(members, dtype=float)
-    m = pos.shape[0]
-    diff = pos - np.asarray(center)[None, :]
-    energy = 0.5 * config.force_k_center * float(np.sum(diff * diff))
-    if m >= 2:
-        delta = pos[:, None, :] - pos[None, :, :]
-        d = np.hypot(delta[..., 0], delta[..., 1])
-        np.fill_diagonal(d, np.inf)
-        n_nb = min(2, m - 1)
-        nearest = np.argsort(d, axis=1)[:, :n_nb]
-        rows = np.arange(m)[:, None]
-        energy -= config.force_k_repel * float(np.sum(np.log(np.maximum(d[rows, nearest], 0.01))))
-    return energy

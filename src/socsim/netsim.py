@@ -27,6 +27,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from .files import atomic_write
 from .messages import HeadMsg, LineEncoder, Message, decode_record, encode_record
 from .protocol import Agent, concerned_receivers
 from .schema import HALF_OPEN_UNIT, NON_NEGATIVE, POSITIVE, check, ranged
@@ -167,11 +168,12 @@ class DeliveryLog:
         return mine == theirs
 
     def write(self, path) -> None:
-        """Write the wire lines, chunk by chunk. A gzip log feeds the chunks to
-        one compressor and never flushes it, so its bytes are those of one
-        call on the whole body: zlib's output does not depend on how its input
-        is split into calls, only a flush changes it."""
-        with open(path, "wb") as raw:
+        """Write the wire lines to ``path``, chunk by chunk, through a temp
+        file renamed into place once whole. A gzip log (a ``.gz`` name) feeds
+        the chunks to one compressor and never flushes it, so its bytes are
+        those of one call on the whole body: zlib's output does not depend on
+        how its input is split into calls, only a flush changes it."""
+        with atomic_write(path, "wb") as raw:
             if str(path).endswith(".gz"):
                 # fixed mtime and empty name keep the output reproducible
                 with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as fh:

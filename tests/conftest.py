@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
-from socsim.mobility import TraceFrame
+from socsim import harness
+from socsim.mobility import MobilityConfig, TraceFrame
 from socsim.opinions import PRIOR_WEIGHT, Opinion
 
 _unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -40,6 +44,36 @@ def counted(fn, calls: list):
     return wrapper
 
 
+@dataclass
+class Samples:
+    """A run's samples as its one per-sample call took them."""
+
+    partitions: list = field(default_factory=list)  # (time, Partition)
+    metrics_rows: list = field(default_factory=list)
+    # (time, {live agent id: (role, head id)})
+    role_samples: list = field(default_factory=list)
+
+
+def run_sampled(*args, **kwargs) -> tuple[harness.RunResult, Samples]:
+    """``harness.run`` and every sample of the run, recorded by a wrapper of
+    ``harness._Sampler.take`` while the run lasts."""
+    samples = Samples()
+    take = harness._Sampler.take
+
+    def capture(sampler, now, agents, universe, truth):
+        partition, row = take(sampler, now, agents, universe, truth)
+        samples.partitions.append((now, partition))
+        samples.metrics_rows.append(row)
+        roles = {aid: (agent.role, agent.head_id) for aid, agent in sorted(agents.items())}
+        samples.role_samples.append((now, roles))
+        return partition, row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness._Sampler, "take", capture)
+        result = harness.run(*args, **kwargs)
+    return result, samples
+
+
 # ----------------------------------------------------------------------
 # independent oracles
 
@@ -60,6 +94,12 @@ def evidence_average_oracle(ops: list[Opinion]) -> Opinion:
     r, s = sum(rs) / len(ops), sum(ss) / len(ops)
     denom = r + s + PRIOR_WEIGHT
     return Opinion(r / denom, s / denom, PRIOR_WEIGHT / denom, ops[0].base_rate)
+
+
+def equilibrium_pair_separation(config: MobilityConfig) -> float:
+    """Closed-form resting separation of a two-agent group: attraction
+    k_center * d/2 balances repulsion k_repel / d."""
+    return math.sqrt(2.0 * config.force_k_repel / config.force_k_center)
 
 
 def brute_force_pair_counts(blocks_p, blocks_q):

@@ -25,13 +25,13 @@ from socsim.metrics import (
     jaccard_index,
     rand_index,
 )
-from socsim.mobility import MobilityConfig, equilibrium_pair_separation, force_step
+from socsim.mobility import MobilityConfig, force_step
 from socsim.netsim import NetConfig, Network, audit_message_bound
 from socsim.opinions import Opinion, fuse_averaging, fuse_averaging_multi, fuse_cumulative
 from socsim.percept import PerceptConfig
 from socsim.protocol import Agent, AgentKind, ProtocolConfig, Role
 
-from conftest import brute_force_pair_counts, range_table
+from conftest import brute_force_pair_counts, equilibrium_pair_separation, range_table, run_sampled
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 PRIOR_WEIGHT = 2.0
@@ -143,17 +143,17 @@ def test_c02_metrics_oracle_equivalence():
 
 def test_c03_protocol_convergence_easy_scenario():
     scenario = load_scenario(SCENARIO_DIR / "triads.json")
-    result = run(scenario)
+    _, samples = run_sampled(scenario)
     perfect = [
         k
-        for k, row in enumerate(result.metrics_rows)
+        for k, row in enumerate(samples.metrics_rows)
         if row.rand == 1.0 and row.ari == 1.0 and row.jaccard == 1.0
     ]
     assert perfect, "protocol never matched ground truth"
     first = perfect[0]
     assert first <= 10, f"convergence took {first} periods"
     horizon = first + 100
-    assert len(result.metrics_rows) > horizon
+    assert len(samples.metrics_rows) > horizon
     stable = set(range(first, horizon + 1)) <= set(perfect)
     assert stable, "partition did not stay at ground truth for 100 periods"
     report(
@@ -248,15 +248,15 @@ def _quad_scenario(stable_handover, removals=()):
     )
 
 
-def _converged_head(result, at=20.0):
-    snapshot = dict(result.role_samples)[at]
+def _converged_head(samples, at=20.0):
+    snapshot = dict(samples.role_samples)[at]
     heads = [a for a, (role, _) in snapshot.items() if role is Role.CLUSTER_HEAD]
     assert len(heads) == 1, f"cluster not converged at t={at}: {snapshot}"
     return heads[0]
 
 
 def test_c05_timeout_semantics():
-    head = _converged_head(run(_quad_scenario(False)))
+    head = _converged_head(run_sampled(_quad_scenario(False))[1])
     former = {1, 2, 3, 4} - {head}
 
     result = run(_quad_scenario(False, removals=((30.0, head),)))
@@ -282,7 +282,7 @@ def test_c05_timeout_semantics():
             f"member {aid} reverted at step {steps[0]}, expected exactly {revert_step}"
         )
 
-    handover = run(_quad_scenario(True, removals=((30.0, head),)))
+    handover, handover_samples = run_sampled(_quad_scenario(True, removals=((30.0, head),)))
     nominations = [
         e
         for e in handover.network.log.entries
@@ -298,7 +298,7 @@ def test_c05_timeout_semantics():
             if e.sender == aid and isinstance(e.message, HeadMsg) and e.step >= 30
         ]
         assert not later_heads, f"member {aid} became a singleton despite handover"
-    for t, snapshot in handover.role_samples:
+    for t, snapshot in handover_samples.role_samples:
         if t < 31.0:
             continue
         assert snapshot[replacement][0] is Role.CLUSTER_HEAD

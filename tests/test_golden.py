@@ -29,6 +29,8 @@ from socsim.netsim import NetConfig
 from socsim.percept import PerceptConfig, fit_gmm
 from socsim.protocol import ProtocolConfig, Role
 
+from conftest import run_sampled
+
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "golden_digests.json"
 
@@ -140,10 +142,10 @@ def test_golden_digests(name, tmp_path):
 def test_role_follows_head(name, tmp_path):
     # accepted responses, foreign adoption, head timeouts and handovers all
     # occur in these runs; an agent heads a cluster exactly when it is its own head
-    result = run(CASES[name](tmp_path))
+    _, samples = run_sampled(CASES[name](tmp_path))
     sampled = [
         (aid, role, head)
-        for _, roles in result.role_samples
+        for _, roles in samples.role_samples
         for aid, (role, head) in roles.items()
     ]
     assert any(head != aid for aid, _, head in sampled)

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socsim import cli, harness, percept
+from socsim import cli, harness, mobility, percept
+from socsim.files import atomic_write
 from socsim.harness import (
     ReplaySource,
     Scenario,
@@ -35,9 +37,10 @@ from socsim.messages import MemberMsg, decode_record
 from socsim.metrics import Partition
 from socsim.mobility import MobilityConfig, TraceFrame, generate
 from socsim.percept import PerceptConfig
+from socsim.netsim import Network
 from socsim.protocol import Agent, ProtocolConfig
 
-from conftest import counted
+from conftest import counted, run_sampled
 from test_golden import CASES, output_digests
 
 
@@ -459,10 +462,10 @@ class TestNearest:
 class TestRun:
     def test_zero_agents_empty_outputs(self, tmp_path):
         scenario = synthetic_scenario(mobility=MobilityConfig(n_agents=0, seed=0))
-        result = run(scenario, tmp_path)
+        _, samples = run_sampled(scenario, tmp_path)
         assert (tmp_path / "metrics.csv").exists()
-        assert result.metrics_rows
-        assert all(r.rand == 1.0 for r in result.metrics_rows)
+        assert samples.metrics_rows
+        assert all(r.rand == 1.0 for r in samples.metrics_rows)
 
     def test_deterministic_outputs_byte_identical(self, tmp_path):
         scenario = synthetic_scenario()
@@ -557,8 +560,8 @@ class TestRun:
             run(scenario, tmp_path / "out")
         assert not (tmp_path / "out").exists()
         # a trace that ends exactly at the duration replays in full
-        result = run(dataclasses.replace(scenario, duration=10.0))
-        assert result.partitions[-1][0] == 10.0
+        _, samples = run_sampled(dataclasses.replace(scenario, duration=10.0))
+        assert samples.partitions[-1][0] == 10.0
 
     def test_metrics_rows_equal_per_sample_scores(self, tmp_path, monkeypatch):
         # agent 5 leaves the trace after 20 s and agent 2 departs at 30 s, so
@@ -575,17 +578,17 @@ class TestRun:
         scenario = Scenario(source=source, duration=60.0, seed=11, removals=((30.0, 2),))
         calls = []
         monkeypatch.setattr(harness, "scores", counted(harness.scores, calls))
-        result = run(scenario)
+        _, samples = run_sampled(scenario)
         scored = len(calls)
 
         frames, truth = ingest_trace(source.trace, source.ground_truth)
         expected, inputs = [], []
-        for now, partition in result.partitions:
+        for now, partition in samples.partitions:
             k = round(now / scenario.dt)
             universe = frozenset(frames[k].ids)
             expected.append(_score(now, Partition(truth[k]).restricted(universe), partition))
             inputs.append((truth[k], universe, partition))
-        assert result.metrics_rows == expected
+        assert samples.metrics_rows == expected
         for part in range(3):
             assert len({sample[part] for sample in inputs}) > 1
         # only a sample whose inputs differ from the previous sample's is scored
@@ -601,8 +604,8 @@ class TestRun:
             dt=scenario.dt,
             seed=scenario.seed,
         )
-        result = run(replay, tmp_path / "rep")
-        assert all(r.rand is None for r in result.metrics_rows)
+        _, samples = run_sampled(replay, tmp_path / "rep")
+        assert all(r.rand is None for r in samples.metrics_rows)
         metrics_lines = (tmp_path / "rep" / "metrics.csv").read_text().splitlines()
         assert metrics_lines[1].split(",")[1] == ""
 
@@ -616,8 +619,8 @@ class TestRun:
             mobility=MobilityConfig(n_agents=3, seed=1, group_formation_rate=0.0),
             opinion_providers=((100, 25.0, 25.0),),
         )
-        result = run(scenario)
-        for _, partition in result.partitions:
+        result, samples = run_sampled(scenario)
+        for _, partition in samples.partitions:
             assert 100 not in partition.universe
         provider_msgs = [
             e for e in result.network.log.entries if e.sender == 100
@@ -635,7 +638,7 @@ class TestRun:
         late = []
         for k in range(1, 41):
             at = round(k * period, 9)
-            result = run(
+            _, samples = run_sampled(
                 synthetic_scenario(
                     mobility=MobilityConfig(n_agents=3, seed=1, group_formation_rate=0.0),
                     protocol=ProtocolConfig(period=period),
@@ -644,7 +647,7 @@ class TestRun:
                     removals=((at, 1),),
                 )
             )
-            roles = [r for _, r in result.role_samples]
+            roles = [r for _, r in samples.role_samples]
             assert len(roles) == k + 1 and 1 in roles[k - 1]
             if 1 in roles[k]:
                 late.append(k)
@@ -713,12 +716,12 @@ class TestRun:
             seed=2,
             agentless_ids=frozenset({3}),
         )
-        result = run(scenario)
+        result, samples = run_sampled(scenario)
         # the human without an agent ends up in the agreed situation via
         # third-party opinions alone
-        final = result.partitions[-1][1]
+        final = samples.partitions[-1][1]
         assert frozenset({1, 2, 3}) in final.blocks
-        assert result.metrics_rows[-1].jaccard == 1.0
+        assert samples.metrics_rows[-1].jaccard == 1.0
         # and never appears as an agent member
         for entry in result.network.log.entries:
             members = getattr(entry.message, "agent_members", None)
@@ -735,8 +738,8 @@ class TestRun:
             Path(__file__).parent.parent / "scenarios" / "triads.json"
         )
         scenario.duration = 30.0
-        result = run(scenario)
-        last_roles = dict(result.role_samples)[30.0]
+        result, samples = run_sampled(scenario)
+        last_roles = dict(samples.role_samples)[30.0]
         live_heads = [a for a, (r, _) in last_roles.items() if r is Role.CLUSTER_HEAD]
         claimed: set[int] = set()
         for head in live_heads:
@@ -757,6 +760,115 @@ class TestRun:
         assert not quick.protocol.direct_to_head_routing
         run(quick)
         assert built and all(agent.observed_heads == {} for agent in built)
+
+
+QUICK = Path(__file__).resolve().parent.parent / "scenarios" / "quick.json"
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+class TestStreamedOutputs:
+    """A run writes its outputs as it goes, holds no whole trace, and leaves
+    its output directory as it was when it fails."""
+
+    def held_frames(self, monkeypatch, scenario, out_dir) -> int:
+        """The most synthetic frames alive at the start of any period."""
+        refs = []
+        steps = mobility.steps
+
+        def recording(*args):
+            for frame, truth in steps(*args):
+                refs.append(weakref.ref(frame))
+                yield frame, truth
+
+        peak = 0
+        step = Network.step
+
+        def counting(network, *args):
+            nonlocal peak
+            peak = max(peak, sum(ref() is not None for ref in refs))
+            step(network, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mobility, "steps", recording)
+            patch.setattr(Network, "step", counting)
+            run(scenario, out_dir)
+        assert len(refs) == round(scenario.duration / scenario.dt) + 1
+        return peak
+
+    def test_held_frames_do_not_grow_with_duration(self, tmp_path, monkeypatch):
+        # a percept block of 30 agents spans 2 periods; with bursts of 16
+        # steps, the short run's 31 periods see every way the two overlap
+        monkeypatch.setattr(harness, "STEPS_AHEAD", 16)
+        mob = MobilityConfig(n_agents=30, seed=3, group_formation_rate=0.05)
+        short, long = (
+            self.held_frames(monkeypatch, synthetic_scenario(mobility=mob, duration=d), tmp_path / str(d))
+            for d in (30.0, 300.0)
+        )
+        assert short == long < 31
+
+    @pytest.mark.parametrize("label_waiting_phase", [False, True])
+    @pytest.mark.parametrize("n_agents", [0, 1, 2])
+    def test_streamed_trace_and_truth_equal_written_lists(self, tmp_path, n_agents, label_waiting_phase):
+        # the duration ends half a period after the last period, whose step is written too
+        mob = MobilityConfig(
+            n_agents=n_agents, seed=5, group_formation_rate=0.2, label_waiting_phase=label_waiting_phase
+        )
+        scenario = synthetic_scenario(mobility=mob, duration=60.5)
+        run(scenario, tmp_path / "out")
+        frames, truth = generate(dataclasses.replace(mob, seed=mob.seed ^ scenario.seed), 60.5, 0.5)
+        write_trace(tmp_path / "trace.csv", frames)
+        write_ground_truth(tmp_path / "truth.csv", frames, truth)
+        streamed = (tmp_path / "out" / "ground_truth.csv").read_text()
+        assert (tmp_path / "out" / "trace.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
+        assert streamed == (tmp_path / "truth.csv").read_text()
+        assert (";" in streamed) == (n_agents == 2)
+
+    def test_failed_trace_write_leaves_previous_file(self, tmp_path):
+        frames, _ = generate(MobilityConfig(n_agents=3, seed=1), 10.0, 0.5)
+        path = tmp_path / "trace.csv"
+        write_trace(path, frames[:4])
+        before = path.read_bytes()
+        # the third frame has no positions: the write fails after two frames' rows
+        broken = [*frames[:2], dataclasses.replace(frames[2], pos=None), *frames[3:]]
+        with pytest.raises(AttributeError):
+            write_trace(path, broken)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("entry", ["run", "cli"])
+    @pytest.mark.parametrize("previous", [False, True])
+    def test_failed_run_leaves_out_dir_as_it_was(self, tmp_path, monkeypatch, entry, previous):
+        out = tmp_path / "out" if previous else tmp_path / "new" / "out"
+        if previous:
+            run(load_scenario(QUICK), out)
+        before = files_under(tmp_path)
+        opened = []
+        enter = atomic_write.__enter__
+        monkeypatch.setattr(atomic_write, "__enter__", lambda self: opened.append(enter(self)) or opened[-1])
+        # the first sample is taken after the first step; the second step fails
+        steps = []
+        step = Network.step
+
+        def failing(network, *args):
+            steps.append(args[0])
+            if len(steps) > 1:
+                raise RuntimeError("injected failure")
+            step(network, *args)
+
+        monkeypatch.setattr(Network, "step", failing)
+        if entry == "run":
+            with pytest.raises(RuntimeError, match="injected"):
+                run(load_scenario(QUICK), out)
+        else:
+            assert cli.main(["simulate", "--config", str(QUICK), "--out-dir", str(out)]) == 2
+        assert steps == [0.0, 1.0]
+        assert len(opened) == 4 and all(fh.closed for fh in opened)
+        assert files_under(tmp_path) == before
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert out.exists() == previous and (tmp_path / "new").exists() is False
 
 
 class TestCollectorScope:

@@ -108,7 +108,7 @@ def test_pipeline_runs_without_numba(tmp_path):
         "from socsim.mobility import MobilityConfig; "
         "sc = Scenario(source=SyntheticSource(MobilityConfig(n_agents=4, seed=1)), "
         "duration=10.0, dt=0.5, seed=2); "
-        "res = run(sc); print(len(res.metrics_rows))"
+        "res = run(sc); print(res.summary['samples'])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], check=True, capture_output=True, text=True

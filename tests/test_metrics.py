@@ -16,6 +16,11 @@ from socsim.metrics import (
 from conftest import brute_force_pair_counts, random_partition
 
 
+def singletons(universe) -> Partition:
+    """The partition of ``universe`` into one block per agent."""
+    return Partition([{a} for a in universe])
+
+
 class TestPartition:
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
@@ -44,7 +49,7 @@ class TestPairCounts:
         assert pair_counts(p, q) == (0, 1, 1, 1)
 
     def test_all_singletons(self):
-        p = Partition.singletons(range(5))
+        p = singletons(range(5))
         assert pair_counts(p, p) == (0, 0, 0, 10)
 
     def test_universe_mismatch(self):
@@ -101,7 +106,7 @@ class TestAdjustedRandIndex:
         assert adjusted_rand_index(p, q) == pytest.approx(-0.5)
 
     def test_all_singletons_degenerate_one(self):
-        p = Partition.singletons(range(6))
+        p = singletons(range(6))
         assert adjusted_rand_index(p, p) == 1.0
 
     def test_one_iff_identical(self):
@@ -136,7 +141,7 @@ class TestJaccardIndex:
         assert jaccard_index(p, q) == 0.0
 
     def test_all_singletons_degenerate_one(self):
-        p = Partition.singletons(range(4))
+        p = singletons(range(4))
         assert jaccard_index(p, p) == 1.0
 
 

@@ -5,13 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from socsim.mobility import (
-    MobilityConfig,
-    equilibrium_pair_separation,
-    force_step,
-    generate,
-    potential_energy,
-)
+from socsim.mobility import MobilityConfig, force_step, generate
+
+from conftest import equilibrium_pair_separation
+
+
+def potential_energy(members: np.ndarray, center: np.ndarray, config: MobilityConfig) -> float:
+    """Potential matching the force law (directed two-nearest-neighbor
+    repulsion edges); used to check settling behaviour."""
+    pos = np.asarray(members, dtype=float)
+    m = pos.shape[0]
+    diff = pos - np.asarray(center)[None, :]
+    energy = 0.5 * config.force_k_center * float(np.sum(diff * diff))
+    if m >= 2:
+        delta = pos[:, None, :] - pos[None, :, :]
+        d = np.hypot(delta[..., 0], delta[..., 1])
+        np.fill_diagonal(d, np.inf)
+        n_nb = min(2, m - 1)
+        nearest = np.argsort(d, axis=1)[:, :n_nb]
+        rows = np.arange(m)[:, None]
+        energy -= config.force_k_repel * float(np.sum(np.log(np.maximum(d[rows, nearest], 0.01))))
+    return energy
 
 
 class TestGenerate:

@@ -360,6 +360,19 @@ class TestWrite:
         assert (tmp_path / "messages.log.gz").read_bytes() == expected.read_bytes()
         assert log.body() == body
 
+    @pytest.mark.parametrize("name", ["messages.log", "messages.log.gz"])
+    def test_failed_write_leaves_previous_file(self, tmp_path, name):
+        log, _ = self.big_log()
+        path = tmp_path / name
+        log.write(path)
+        before = path.read_bytes()
+        # the second chunk's lines are not zlib data: the write fails after the first chunk
+        log.chunks[1] = (b"not zlib", log.chunks[1][1])
+        with pytest.raises(zlib.error):
+            log.write(path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_plain_write_streams(self, tmp_path):
         log, body = self.big_log()
         assert len(body) > 500_000
