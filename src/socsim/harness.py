@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import gc
 import json
-import logging
 import math
 from array import array
 from collections import deque
@@ -25,7 +24,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import mobility, percept
-from .files import TRACE_HEADER, TRUTH_HEADER, Outputs, atomic_write, table_writer
+from .files import Outputs, TraceFrames, _median_step, _nearest, atomic_write, table_writer
+# perfbench wraps ingest_trace on this module, and the run calls it through that name
+from .files import ingest_trace, read_situations
 # perfbench and the CLI write traces, truth and metrics through these names
 from .files import write_ground_truth, write_metrics, write_trace  # noqa: F401
 from .metrics import Partition, scores, series_summary
@@ -36,10 +37,9 @@ from .netsim import DeliveryLog, NetConfig, Network, warn_if_range_below_social
 from .opinions import BASE_RATE_TOL
 from .percept import PerceptConfig
 from .protocol import PERIOD_TOL, Agent, AgentKind, ProtocolConfig, Role, StrongPairs
-from .schema import AGENT_ID, FINITE, NON_NEGATIVE, POSITIVE, AgentId, SchemaError, build, check
+from .schema import FINITE, NON_NEGATIVE, POSITIVE, AgentId, SchemaError, build, check
 from .schema import ranged
 
-log = logging.getLogger(__name__)
 
 # the config field each sweepable parameter sets
 SWEPT_FIELDS = {
@@ -180,245 +180,6 @@ def load_scenario(path: Path) -> Scenario:
 
 
 # ----------------------------------------------------------------------
-# trace ingestion / writing
-
-def ingest_trace(
-    path: Path, ground_truth: Optional[Path] = None, scored: Optional[Iterable[int]] = None
-) -> tuple[list[TraceFrame], Optional[GroundTruth]]:
-    """Read a trace CSV (and optional ground-truth CSV) into frames.
-
-    Irregular timesteps are resampled onto a uniform grid by nearest
-    frame; shoulder angles outside [0, 2*pi) are normalized with a
-    warning; non-finite times, coordinates and angles are rejected. Each
-    frame takes the situations of the nearest truth time, and each frame
-    that ``scored`` indexes (by default every frame) must lie within half
-    a step of one, the larger of the trace's and the truth file's.
-
-    Rows are read into typed columns, then ordered by time and agent id in
-    one sort. A frame's ``pos`` and ``angle`` are read-only views into two
-    arrays shared by the whole trace, and a frame whose ids equal the
-    previous frame's shares its ids tuple."""
-    times, ids = array("d"), array("q")
-    xs, ys, angles = array("d"), array("d"), array("d")
-    normalized = 0
-    two_pi = 2 * math.pi
-    isfinite = math.isfinite
-    # a frame's rows repeat one time text: it is converted and tested once
-    time_text = None
-    for lineno, parts in _csv_rows(path, TRACE_HEADER):
-        new_time = parts[0] != time_text
-        try:
-            if new_time:
-                t = float(parts[0])
-            aid = int(parts[1])
-            x, y, ang = float(parts[2]), float(parts[3]), float(parts[4])
-        except ValueError as exc:
-            raise SchemaError(str(exc), line=lineno, path=path) from exc
-        if new_time:
-            if not isfinite(t):
-                raise SchemaError("non-finite time, coordinate or angle", line=lineno, path=path)
-            time_text = parts[0]
-        if not (isfinite(x) and isfinite(y) and isfinite(ang)):
-            raise SchemaError("non-finite time, coordinate or angle", line=lineno, path=path)
-        if not 0.0 <= ang < two_pi:
-            ang = ang % two_pi
-            normalized += 1
-        if aid < 0:
-            raise SchemaError(f"agent id {aid} is negative", line=lineno, path=path)
-        try:
-            ids.append(aid)
-        except OverflowError:
-            raise SchemaError(f"agent id {aid} exceeds 64 bits", line=lineno, path=path) from None
-        times.append(t)
-        xs.append(x)
-        ys.append(y)
-        angles.append(ang)
-    if normalized:
-        log.warning("normalized %d shoulder angles into [0, 2*pi)", normalized)
-    if not times:
-        raise SchemaError("trace file contains no frames", path=path)
-    frame_times, bounds, order = _split_by_time(
-        np.frombuffer(times), np.frombuffer(ids, np.int64), path
-    )
-    pos = np.column_stack((np.frombuffer(xs)[order], np.frombuffer(ys)[order]))
-    angle = np.frombuffer(angles)[order]
-    pos.flags.writeable = angle.flags.writeable = False
-    sorted_ids = np.frombuffer(ids, np.int64)[order].tolist()
-    frames: list[TraceFrame] = []
-    frame_ids: tuple[int, ...] = ()
-    for t, start, end in zip(frame_times, bounds, bounds[1:]):
-        now_ids = tuple(sorted_ids[start:end])
-        frame_ids = frame_ids if now_ids == frame_ids else now_ids
-        frames.append(TraceFrame(t, frame_ids, pos[start:end], angle[start:end]))
-    dt = 0.0
-    if len(frame_times) > 1:
-        diffs = np.diff(frame_times)
-        dt = float(np.median(diffs))
-        if np.any(np.abs(diffs - dt) > 1e-6):
-            log.warning("irregular trace timestep; resampling by nearest frame")
-            grid = np.arange(frame_times[0], frame_times[-1] + dt / 2, dt)
-            frames = [
-                dataclasses.replace(frames[i], time=float(g))
-                for g, i in zip(grid, _nearest(frame_times, grid))
-            ]
-    truth = None
-    if ground_truth is not None:
-        situations = read_situations(ground_truth)
-        if scored is None:
-            scored = range(len(frames))
-        truth = _align_truth(situations, frames, dt, scored, ground_truth)
-    return frames, truth
-
-
-def _split_by_time(
-    times: np.ndarray, ids: np.ndarray, path: Path
-) -> tuple[list[float], list[int], np.ndarray]:
-    """Order trace rows by time, then agent id, in one stable sort. Returns
-    each frame's time (as first written in the file), the bounds of its rows
-    in that order (frame k is rows ``bounds[k]:bounds[k + 1]``) and the order.
-    An agent listed twice in one frame is an error, named at its earliest frame."""
-    order = np.lexsort((ids, times))
-    times_sorted, ids_sorted = times[order], ids[order]
-    same_time = times_sorted[1:] == times_sorted[:-1]
-    starts = np.concatenate(([0], np.flatnonzero(~same_time) + 1))
-    frame_times = times[np.minimum.reduceat(order, starts)].tolist()
-    repeated = np.flatnonzero(same_time & (ids_sorted[1:] == ids_sorted[:-1]))
-    if repeated.size:
-        frame = int(np.searchsorted(starts, repeated[0], side="right")) - 1
-        raise SchemaError(f"duplicate agent ids in frame at t={frame_times[frame]}", path=path)
-    return frame_times, starts.tolist() + [len(order)], order
-
-
-def read_situations(path: Path) -> dict[float, list[frozenset[int]]]:
-    """Read a ``time,situation_id,member_ids`` file (ground truth or
-    protocol partitions) into the member sets listed at each time, one
-    object per distinct set. An empty member list or member id, a member id
-    that is not an agent id, an agent listed twice at one time, and a file
-    with no situation rows, are errors."""
-    situations: dict[float, list[frozenset[int]]] = {}
-    listed: dict[float, set[int]] = {}
-    distinct: dict[frozenset[int], frozenset[int]] = {}
-    # each distinct member text is parsed once, and a time's rows repeat its text
-    parsed: dict[str, frozenset[int]] = {}
-    time_text = None
-    for lineno, parts in _csv_rows(path, TRUTH_HEADER):
-        new_time = parts[0] != time_text
-        members = parsed.get(parts[2])
-        try:
-            if new_time:
-                t = float(parts[0])
-            if members is None:
-                texts = parts[2].split(";") if parts[2] else []
-                if "" in texts:
-                    raise ValueError(f"empty member id in {parts[2]!r}")
-                fresh = frozenset(map(int, texts))
-                test, text = AGENT_ID
-                if not all(map(test, fresh)):
-                    raise ValueError(f"member ids {parts[2]!r} must each {text}")
-                members = parsed[parts[2]] = distinct.setdefault(fresh, fresh)
-        except ValueError as exc:
-            raise SchemaError(str(exc), line=lineno, path=path) from exc
-        if new_time:
-            if not math.isfinite(t):
-                raise SchemaError(f"non-finite time {parts[0]!r}", line=lineno, path=path)
-            time_text = parts[0]
-            seen, sample = listed.setdefault(t, set()), situations.setdefault(t, [])
-        if not members:
-            raise SchemaError("empty situation member list", line=lineno, path=path)
-        if not seen.isdisjoint(members):
-            raise SchemaError(
-                f"agents {sorted(seen & members)} are in two situations at t={t!r}",
-                line=lineno,
-                path=path,
-            )
-        seen |= members
-        sample.append(members)
-    if not situations:
-        raise SchemaError("no situation rows after the header", path=path)
-    return situations
-
-
-def _csv_rows(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each non-blank line after ``header``."""
-    n_fields = header.count(",") + 1
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except IsADirectoryError:
-        raise SchemaError("is a directory, not a file", path=path) from None
-    with fh:
-        found = fh.readline().strip()
-        if found != header:
-            raise SchemaError(f"expected header {header!r}, got {found!r}", line=1, path=path)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != n_fields:
-                raise SchemaError(
-                    f"expected {n_fields} fields, got {len(parts)}", line=lineno, path=path
-                )
-            yield lineno, parts
-
-
-def _nearest(times: Sequence[float], queries: Sequence[float]) -> np.ndarray:
-    """Index of the nearest of the ascending ``times`` to each query; a tie
-    goes to the earlier time."""
-    times = np.asarray(times, dtype=float)
-    queries = np.asarray(queries, dtype=float)
-    above = np.searchsorted(times, queries)
-    lo = np.maximum(above - 1, 0)
-    hi = np.minimum(above, len(times) - 1)
-    return np.where(np.abs(times[hi] - queries) < np.abs(times[lo] - queries), hi, lo)
-
-
-def _median_step(times: Sequence[float]) -> float:
-    """The median gap between the ascending ``times``; 0 for a single time."""
-    return float(np.median(np.diff(times))) if len(times) > 1 else 0.0
-
-
-def _align_truth(
-    situations: dict[float, list[frozenset[int]]],
-    frames: Sequence[TraceFrame],
-    step: float,
-    scored: Iterable[int],
-    path: Path,
-) -> GroundTruth:
-    """Each frame's situations at the nearest truth time, with the frame's
-    agents that no situation lists added as singletons. Frames share their
-    blocks: one singleton per agent, and the previous frame's tuple when
-    nothing changed. A frame that ``scored`` indexes must lie within half the
-    larger of ``step``, the trace step, and the truth file's median step of
-    its truth time; indices past the last frame are left to the caller. A
-    truth that lists an agent of no frame is an error."""
-    listed = set().union(*(block for blocks in situations.values() for block in blocks))
-    unknown = listed.difference(*(frame.ids for frame in frames))
-    if unknown:
-        raise SchemaError(f"agent {min(unknown)} is in no frame of the trace", path=path)
-    times = sorted(situations)
-    frame_times = [f.time for f in frames]
-    nearest = _nearest(times, frame_times)
-    reach = max(step, _median_step(times)) / 2
-    for k in scored:
-        if k < len(frames) and abs(frame_times[k] - times[nearest[k]]) > reach + 1e-9:
-            raise SchemaError(
-                f"no ground truth within {reach!r} s of the scored frame at t={frame_times[k]!r}",
-                path=path,
-            )
-    singletons: dict[int, frozenset[int]] = {}
-    truth: GroundTruth = []
-    for k, frame in enumerate(frames):
-        blocks = list(situations[times[nearest[k]]])
-        covered = set().union(*blocks)
-        blocks.extend(
-            singletons.setdefault(a, frozenset((a,))) for a in frame.ids if a not in covered
-        )
-        frame_truth = tuple(blocks)
-        truth.append(truth[-1] if truth and truth[-1] == frame_truth else frame_truth)
-    return truth
-
-
-# ----------------------------------------------------------------------
 # simulation driver
 
 
@@ -433,8 +194,10 @@ def run(scenario: Scenario, out_dir: Optional[Path] = None, fmt: str = "csv") ->
     ``out_dir`` as it was. The result holds only the scenario, the network
     (with its delivery log) and the summary; a synthetic trace is generated
     as the run reads it, and no frame or sample is kept. The cyclic garbage
-    collector is suspended for the run, which forms no reference cycles, and
-    the caller's setting restored."""
+    collector is suspended for the run and the caller's setting restored.
+    The run forms no reference cycle but one harmless one of about 33
+    objects when it writes its outputs, the encoder of
+    ``json.dump(..., indent=2)``, which the next collection frees."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -448,7 +211,7 @@ def _run(scenario: Scenario, out_dir: Optional[Path], fmt: str) -> RunResult:
     replay = None
     if isinstance(scenario.source, ReplaySource):
         replay = _load_replay(scenario)
-        trace_ids = set().union(*(frame.ids for frame in replay[0]))
+        trace_ids = set().union(*replay[0].ids)
     else:
         trace_ids = set(range(scenario.source.mobility.n_agents))
     warn_if_range_below_social(scenario.net, scenario.protocol.social_distance)
@@ -639,7 +402,7 @@ def _synthetic_periods(
 
 
 def _replay_periods(
-    scenario: Scenario, frames: list[TraceFrame], truth: Optional[GroundTruth]
+    scenario: Scenario, frames: TraceFrames, truth: Optional[GroundTruth]
 ) -> Iterator[tuple[TraceFrame, Optional[tuple[frozenset[int], ...]]]]:
     """The replayed trace's frame and truth at each period."""
     steps_per_period, n_periods, _ = _schedule(scenario)
@@ -649,22 +412,20 @@ def _replay_periods(
         yield frames[i], None if truth is None else truth[i]
 
 
-def _load_replay(scenario: Scenario) -> tuple[list[TraceFrame], Optional[GroundTruth]]:
+def _load_replay(scenario: Scenario) -> tuple[TraceFrames, Optional[GroundTruth]]:
     steps_per_period, n_periods, sample_every = _schedule(scenario)
     scored = range(0, n_periods * steps_per_period + 1, sample_every * steps_per_period)
     trace = scenario.source.trace
     frames, truth = ingest_trace(trace, scenario.source.ground_truth, scored)
-    if abs(frames[0].time) > 1e-9:
+    times = frames.times
+    if abs(times[0]) > 1e-9:
+        raise SchemaError(f"trace starts at t={times[0]!r}, a replay must start at t=0", path=trace)
+    step = _median_step(times)
+    if len(times) > 1 and abs(step - scenario.dt) > 1e-9:
         raise SchemaError(
-            f"trace starts at t={frames[0].time!r}, a replay must start at t=0", path=trace
+            f"trace step {step!r} s differs from scenario dt {scenario.dt!r} s", path=trace
         )
-    if len(frames) > 1:
-        step = float(np.median(np.diff([f.time for f in frames])))
-        if abs(step - scenario.dt) > 1e-9:
-            raise SchemaError(
-                f"trace step {step!r} s differs from scenario dt {scenario.dt!r} s", path=trace
-            )
-    end = frames[-1].time
+    end = times[-1]
     if scenario.duration > end + 1e-9:
         raise SchemaError(
             f"duration {scenario.duration!r} s outlasts the trace end t={end!r}", path=trace

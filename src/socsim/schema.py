@@ -35,7 +35,7 @@ UNIT = (lambda v: 0 <= v <= 1, "lie in [0, 1]")
 OPEN_UNIT = (lambda v: 0 < v < 1, "lie in (0, 1)")
 HALF_OPEN_UNIT = (lambda v: 0 <= v < 1, "lie in [0, 1)")
 UNIT_ABOVE_ZERO = (lambda v: 0 < v <= 1, "lie in (0, 1]")
-# the ids a trace's array('q') holds
+# the ids a trace's int64 column holds
 AGENT_ID = (lambda v: 0 <= v < 1 << 63, "be an agent id in [0, 2**63)")
 AgentId = NewType("AgentId", int)  # an int in AGENT_ID
 

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from socsim import cli, harness, mobility, percept
+from socsim import cli, files, harness, mobility, percept
 from socsim.files import atomic_write
 from socsim.harness import (
     ReplaySource,
@@ -227,6 +227,75 @@ class TestIngest:
         assert err.value.line == 6
         assert str(path) in str(err.value)
 
+    def test_agent_in_two_situations_at_a_time_that_comes_back(self, tmp_path):
+        # t=0 comes back after t=0.5, written as 0 this time, and its second
+        # run lists agent 2 of its first again
+        path = tmp_path / "pred.csv"
+        path.write_text("time,situation_id,member_ids\n0.0,0,1;2\n0.5,0,1;2\n0,0,3\n0,1,2;4\n")
+        overlap = r"agents \[2\] are in two situations at t=0\.0$"
+        with pytest.raises(SchemaError, match=overlap) as err:
+            read_situations(path)
+        assert err.value.line == 5
+
+    def test_time_that_comes_back_is_one_time(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("time,situation_id,member_ids\n0.0,0,1;2\n0.5,0,1;2\n0,0,3\n")
+        assert read_situations(path) == {0.0: [{1, 2}, {3}], 0.5: [{1, 2}]}
+
+    def test_blank_lines_and_crlf_read_as_before(self, tmp_path):
+        frames, truth = generate(MobilityConfig(n_agents=3, seed=2), 5.0, 0.5)
+        write_trace(tmp_path / "trace.csv", frames)
+        write_ground_truth(tmp_path / "truth.csv", frames, truth)
+        for name in ("trace.csv", "truth.csv"):
+            lines = (tmp_path / name).read_text().splitlines()
+            padded = lines[:1] + [row for line in lines[1:] for row in ("", " \t", line)]
+            (tmp_path / f"padded_{name}").write_bytes(("\r\n".join(padded) + "\r\n").encode())
+        expected = ingest_trace(tmp_path / "trace.csv", tmp_path / "truth.csv")
+        got = ingest_trace(tmp_path / "padded_trace.csv", tmp_path / "padded_truth.csv")
+        assert got[1] == expected[1]
+        for frame, reference in zip(got[0], expected[0], strict=True):
+            assert (frame.time, frame.ids) == (reference.time, reference.ids)
+            assert frame.pos.tobytes() + frame.angle.tobytes() == (
+                reference.pos.tobytes() + reference.angle.tobytes()
+            )
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{files.TRACE_HEADER}\n\n \t\n0.0,1,0.0,nan,0.0\n")
+        with pytest.raises(SchemaError) as err:
+            ingest_trace(path)
+        assert str(err.value) == f"{path}: line 4: non-finite time, coordinate or angle"
+
+    @pytest.mark.parametrize("number", ["1_0", "\u0661"])
+    def test_number_numpy_does_not_read_rejected_with_line(self, tmp_path, number):
+        # float() reads digit-group underscores and non-ASCII digits; numpy does not
+        message = f"{number!r} is not a number in plain ASCII digits"
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{files.TRACE_HEADER}\n0.0,1,0,0,0\n0.0,2,{number},0,0\n", "utf-8")
+        with pytest.raises(SchemaError) as err:
+            ingest_trace(path)
+        assert str(err.value) == f"{path}: line 3: {message}"
+        path = tmp_path / "truth.csv"
+        path.write_text(f"time,situation_id,member_ids\n0.0,0,1\n{number},0,1\n", "utf-8")
+        with pytest.raises(SchemaError) as err:
+            read_situations(path)
+        assert str(err.value) == f"{path}: line 3: {message}"
+
+    def test_chunk_boundaries_change_nothing(self, tmp_path, monkeypatch):
+        frames, truth = generate(MobilityConfig(n_agents=3, seed=2), 5.0, 0.5)
+        write_trace(tmp_path / "trace.csv", frames)
+        write_ground_truth(tmp_path / "truth.csv", frames, truth)
+        expected = ingest_trace(tmp_path / "trace.csv", tmp_path / "truth.csv")
+        monkeypatch.setattr(files, "CHUNK_ROWS", 2)
+        got = ingest_trace(tmp_path / "trace.csv", tmp_path / "truth.csv")
+        assert got[1] == expected[1]
+        assert [(f.time, f.ids, f.pos.tobytes()) for f in got[0]] == [
+            (f.time, f.ids, f.pos.tobytes()) for f in expected[0]
+        ]
+        # agent 1 is listed again at t=0 in the next chunk, and line 5 does not parse
+        path = tmp_path / "pred.csv"
+        path.write_text("time,situation_id,member_ids\n0.0,0,1\n0.0,1,2\n0.0,2,3;1\nx,0,1\n")
+        with pytest.raises(SchemaError, match=r"line 4: agents \[1\] are in two situations"):
+            read_situations(path)
+
     def test_equal_member_sets_are_one_object(self, tmp_path):
         path = tmp_path / "truth.csv"
         path.write_text(
@@ -260,7 +329,7 @@ def row_tuple_ingest(path: Path, ground_truth=None, scored=None):
     normalized = 0
     two_pi = 2 * math.pi
     time_text = None
-    for lineno, parts in harness._csv_rows(path, harness.TRACE_HEADER):
+    for lineno, parts in files._csv_rows(path, files.TRACE_HEADER):
         new_time = parts[0] != time_text
         try:
             if new_time:
@@ -280,7 +349,7 @@ def row_tuple_ingest(path: Path, ground_truth=None, scored=None):
             normalized += 1
         frame_rows.append((aid, x, y, ang))
     if normalized:
-        harness.log.warning("normalized %d shoulder angles into [0, 2*pi)", normalized)
+        files.log.warning("normalized %d shoulder angles into [0, 2*pi)", normalized)
     if not rows:
         raise SchemaError("trace file contains no frames", path=path)
     times = sorted(rows)
@@ -298,7 +367,7 @@ def row_tuple_ingest(path: Path, ground_truth=None, scored=None):
         diffs = np.diff(times)
         dt = float(np.median(diffs))
         if np.any(np.abs(diffs - dt) > 1e-6):
-            harness.log.warning("irregular trace timestep; resampling by nearest frame")
+            files.log.warning("irregular trace timestep; resampling by nearest frame")
             grid = np.arange(times[0], times[-1] + dt / 2, dt)
             frames = [
                 dataclasses.replace(frames[i], time=float(g))
@@ -309,7 +378,7 @@ def row_tuple_ingest(path: Path, ground_truth=None, scored=None):
         situations = read_situations(ground_truth)
         if scored is None:
             scored = range(len(frames))
-        truth = harness._align_truth(situations, frames, dt, scored, ground_truth)
+        truth = files._align_truth(situations, frames, dt, scored, ground_truth)
     return frames, truth
 
 
@@ -346,7 +415,7 @@ def trace_texts(draw):
             t = draw(st.sampled_from([repr(t), repr(t) + "0"]))
         values = [v if isinstance(v, str) else repr(v) for v in (x, y, angle)]
         lines.append(",".join([t, str(aid), *values]))
-    return "\n".join([harness.TRACE_HEADER] + lines) + "\n"
+    return "\n".join([files.TRACE_HEADER] + lines) + "\n"
 
 
 class _Recorded(logging.Handler):
@@ -362,13 +431,13 @@ def ingest_outcome(ingest, path):
     """What ``ingest`` makes of ``path``: its frames or its error, and the
     warnings it logged."""
     handler = _Recorded()
-    harness.log.addHandler(handler)
+    files.log.addHandler(handler)
     try:
         outcome = ingest(path)[0]
     except SchemaError as exc:
         outcome = (str(exc), exc.line)
     finally:
-        harness.log.removeHandler(handler)
+        files.log.removeHandler(handler)
     return outcome, handler.messages
 
 
@@ -409,7 +478,7 @@ class TestColumnarIngest:
     def test_earliest_repeated_frame_named(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(
-            f"{harness.TRACE_HEADER}\n1.0,3,0,0,0\n1.0,3,1,1,0\n"
+            f"{files.TRACE_HEADER}\n1.0,3,0,0,0\n1.0,3,1,1,0\n"
             "0.5,2,0,0,0\n0.5,1,0,0,0\n0.5,2,5,5,0\n0.0,1,0,0,0\n"
         )
         with pytest.raises(SchemaError) as err:
@@ -418,7 +487,7 @@ class TestColumnarIngest:
 
     def test_agent_id_beyond_64_bits_rejected_with_line(self, tmp_path):
         path = tmp_path / "trace.csv"
-        path.write_text(f"{harness.TRACE_HEADER}\n0.0,1,0,0,0\n0.0,{2**63},0,0,0\n")
+        path.write_text(f"{files.TRACE_HEADER}\n0.0,1,0,0,0\n0.0,{2**63},0,0,0\n")
         with pytest.raises(SchemaError) as err:
             ingest_trace(path)
         assert err.value.line == 3
@@ -426,11 +495,94 @@ class TestColumnarIngest:
 
     def test_negative_agent_id_rejected_with_line(self, tmp_path):
         path = tmp_path / "trace.csv"
-        path.write_text(f"{harness.TRACE_HEADER}\n0.0,1,0,0,0\n0.0,-1,0,0,0\n")
+        path.write_text(f"{files.TRACE_HEADER}\n0.0,1,0,0,0\n0.0,-1,0,0,0\n")
         with pytest.raises(SchemaError) as err:
             ingest_trace(path)
         assert err.value.line == 3
         assert str(err.value) == f"{path}: line 3: agent id -1 is negative"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def written_frames(draw):
+    """Frames on a uniform grid, each agent's ids ascending, angles in [0, 2*pi)."""
+    start, step = draw(st.floats(-1e4, 1e4)), draw(st.floats(0.01, 100.0))
+    frames = []
+    for k in range(draw(st.integers(1, 5))):
+        ids = sorted(draw(st.sets(st.integers(0, 2**63 - 1), min_size=1, max_size=4)))
+        pos = np.array([[draw(_finite), draw(_finite)] for _ in ids])
+        angle = np.array([draw(st.floats(0.0, 2 * math.pi, exclude_max=True)) for _ in ids])
+        frames.append(TraceFrame(start + k * step, tuple(ids), pos, angle))
+    return frames
+
+
+@st.composite
+def written_situations(draw):
+    """(time, blocks) samples at distinct times, each a partition of some agents."""
+    samples = []
+    for t in draw(st.lists(_finite, min_size=1, max_size=5, unique=True)):
+        agents = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8, unique=True))
+        cuts = sorted(draw(st.sets(st.integers(1, len(agents)), max_size=3)) - {len(agents)})
+        samples.append((t, [frozenset(agents[a:b]) for a, b in zip([0, *cuts], [*cuts, len(agents)])]))
+    return samples
+
+
+# decimal texts that need correct rounding: long mantissas, large and small exponents
+_decimal = st.from_regex(r"-?[0-9]{1,25}(\.[0-9]{1,25})?([eE][-+]?[0-9]{1,3})?", fullmatch=True)
+
+
+class TestRoundTrip:
+    """What a writer writes, its reader reads back."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(frames=written_frames())
+    def test_trace(self, frames):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                write = files.trace_writer(fh)
+                for frame in frames:
+                    write(frame)
+            got, _ = ingest_trace(path)
+        assert len(got) == len(frames)
+        for frame, written in zip(got, frames):
+            assert repr(frame.time) == repr(written.time)
+            assert frame.ids == written.ids
+            assert frame.pos.tobytes() == written.pos.tobytes()
+            assert frame.angle.tobytes() == written.angle.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=written_situations())
+    def test_situations(self, samples):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "truth.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                write = files.situations_writer(fh)
+                for t, blocks in samples:
+                    write(t, blocks)
+            got = read_situations(path)
+        assert [(repr(t), blocks) for t, blocks in got.items()] == [
+            (repr(t), blocks) for t, blocks in samples
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.builds(
+            str.format, st.sampled_from(["{!r}", "{:.17g}", "{:.25e}", "{:.3g}"]), _finite
+        )
+        | _decimal
+    )
+    def test_numbers_read_as_float_reads_them(self, text):
+        value = float(text)
+        assume(math.isfinite(value))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            path.write_text(f"{files.TRACE_HEADER}\n{text},0,{text},{text},0.5\n")
+            (frame,), _ = ingest_trace(path)
+        assert repr(frame.time) == repr(value)
+        assert frame.pos.tobytes() == np.array([[value, value]]).tobytes()
 
 
 class TestNearest:
@@ -457,6 +609,16 @@ class TestNearest:
         t = np.array(sorted(times))
         for x, i in zip(queries, _nearest(t, queries)):
             assert abs(t[i] - x) == np.min(np.abs(t - x))
+
+
+class TestMedianStep:
+    @given(times=st.lists(st.floats(-1e300, 1e300), max_size=12))
+    @example(times=[0.0, 1.0, 3.0])
+    @example(times=[0.0, 0.1, 0.3, 0.6])
+    def test_equals_numpy_median(self, times):
+        times = sorted(times)
+        expected = float(np.median(np.diff(times))) if len(times) > 1 else 0.0
+        assert repr(files._median_step(times)) == repr(expected)
 
 
 class TestRun:
